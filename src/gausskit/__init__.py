@@ -75,7 +75,6 @@ from .states import (
     is_completely_entangled_pure,
     is_pure_separable,
     marginal,
-    marginal_via_e2,
     normal_form,
     number_distribution,
     smsv,

@@ -264,9 +264,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return _USAGE_EXIT if exc.code not in (0, None) else 0
-    cfg = Config(cutoff=args.cutoff, tol=args.tol, seed=args.seed,
-                 fmt=getattr(args, "fmt", "json"))
     try:
+        cfg = Config(cutoff=args.cutoff, tol=args.tol, seed=args.seed,
+                     fmt=getattr(args, "fmt", "json"))
         return _HANDLERS[args.command](args, cfg)
     except GausskitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 DEFAULT_TOL = 1e-10
@@ -29,17 +28,8 @@ class Config:
     def __post_init__(self):
         if self.cutoff < 0:
             raise ValueError("cutoff must be >= 0")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be > 0")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.fmt!r}")
 
-
-def thread_count() -> int:
-    """Parallelism cap from GAUSSKIT_THREADS (default: sequential)."""
-    raw = os.environ.get("GAUSSKIT_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        return 1
-    return max(1, k)

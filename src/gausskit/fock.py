@@ -35,7 +35,6 @@ __all__ = [
     "e_a_matrix",
     "dmf",
     "matrix_element",
-    "mixing_kernel_element",
     "pure_state_vector",
     "z1_matrix",
     "general_truncate",
@@ -335,27 +334,6 @@ class TruncatedOperator:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
-    def tail_bound(self) -> float:
-        """Advisory estimate of the probability mass beyond the window.
-
-        max(0, 1 - trace) plus a geometric extrapolation from the last two
-        total-number shells; meaningful for (near-)unit-trace operators.
-        """
-        diag = self.entries.diagonal().real
-        degrees = np.array([sum(t) for t in self.basis])
-        deficit = max(0.0, 1.0 - float(diag.sum()))
-        last = float(diag[degrees == self.cutoff].sum())
-        prev = float(diag[degrees == self.cutoff - 1].sum()) if self.cutoff >= 1 else 0.0
-        # shells often alternate (odd shells can vanish); fall back one shell
-        if prev <= 0.0 and self.cutoff >= 2:
-            prev = float(diag[degrees == self.cutoff - 2].sum())
-            last = max(last, float(diag[degrees == self.cutoff - 1].sum()))
-        extrapolated = 0.0
-        if 0.0 < last < prev:
-            ratio = last / prev
-            extrapolated = last * ratio / (1.0 - ratio)
-        return deficit + extrapolated
-
     def dagger(self) -> "TruncatedOperator":
         return TruncatedOperator(self.n, self.cutoff, self.basis,
                                  self.entries.conj().T.copy(), self.hermitian)
@@ -533,30 +511,6 @@ def matrix_element(a, lam, t, s, tol: float = DEFAULT_TOL) -> complex:
                     memo[key] = gam
                 total += e1 * gam * np.conj(e2)
     return complex(c_factor(a, lam, tol) * total)
-
-
-def mixing_kernel_element(a, lam_vec, t, s, tol: float = DEFAULT_TOL) -> complex:
-    """<t| rho(A, D_lambda) |s> through the mixing kernel acting on |psi_A><psi_A|.
-
-    (c(A, D)/c(A, 0)) sum_{r <= t ^ s} sqrt(binom(t,r) binom(s,r)) lambda^r
-    <t - r|psi_A><psi_A|s - r>.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    lam_vec = np.asarray(lam_vec, dtype=float).reshape(-1)
-    d = np.diag(lam_vec.astype(complex))
-    t = tuple(int(x) for x in t)
-    s = tuple(int(x) for x in s)
-    table = _phi_table(a)
-    c_ratio = c_factor(a, d, tol) / c_factor(a, np.zeros_like(d), tol)
-    cpure = c_factor(a, np.zeros_like(d), tol)
-    total = 0.0 + 0.0j
-    for r in product(*(range(min(x, y) + 1) for x, y in zip(t, s))):
-        weight = math.sqrt(multi_binomial(t, r) * multi_binomial(s, r))
-        lam_pow = np.prod(lam_vec ** np.array(r)) if sum(r) else 1.0
-        amp_t = table(tuple(x - y for x, y in zip(t, r)))
-        amp_s = table(tuple(x - y for x, y in zip(s, r)))
-        total += weight * lam_pow * cpure * amp_t * np.conj(amp_s)
-    return complex(c_ratio * total)
 
 
 def pure_state_vector(a, cutoff: int, tol: float = DEFAULT_TOL) -> TruncatedVector:

@@ -31,27 +31,36 @@ def rmat_to_json(m: np.ndarray) -> list:
     return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
 
 
+def _finite(arr: np.ndarray, field: str) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise ValueError(f"field {field!r}: entries must be finite numbers")
+    return arr
+
+
 def cvec_from_json(data, field: str = "vector") -> np.ndarray:
     try:
-        return np.array([complex(p[0], p[1]) for p in data], dtype=complex)
+        arr = np.array([complex(p[0], p[1]) for p in data], dtype=complex)
     except (TypeError, IndexError) as exc:
         raise ValueError(f"field {field!r}: expected a list of [re, im] pairs") from exc
+    return _finite(arr, field)
 
 
 def cmat_from_json(data, field: str = "matrix") -> np.ndarray:
     try:
-        return np.array(
+        arr = np.array(
             [[complex(p[0], p[1]) for p in row] for row in data], dtype=complex
         )
     except (TypeError, IndexError) as exc:
         raise ValueError(f"field {field!r}: expected nested lists of [re, im] pairs") from exc
+    return _finite(arr, field)
 
 
 def rmat_from_json(data, field: str = "matrix") -> np.ndarray:
     try:
-        return np.array(data, dtype=float)
+        arr = np.array(data, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"field {field!r}: expected nested lists of reals") from exc
+    return _finite(arr, field)
 
 
 def _render(obj: Any, out: list[str]) -> None:

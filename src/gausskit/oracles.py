@@ -4,7 +4,9 @@ Everything here favors obvious correctness over speed and stays off the
 public API: truncated polynomial arithmetic for series coefficients,
 numerical quadrature for the Gaussian integral, literal matrix
 exponentials of annihilation quadratics, partial traces by direct
-summation, and a numerical coherent-state resolution of identity.
+summation, a numerical coherent-state resolution of identity, and the
+paper's mixing-kernel and direct E2 marginal formulas as cross-checks of
+the production paths.
 """
 
 from __future__ import annotations
@@ -15,13 +17,20 @@ from itertools import product
 import numpy as np
 from scipy import integrate
 
+from .config import DEFAULT_TOL
+from .core import c_factor, m_matrix
+from .errors import UnsupportedStateError
 from .fock import (
     TruncatedOperator,
     TruncatedVector,
     basis_index_map,
     basis_indices,
+    multi_binomial,
     multi_factorial,
+    phi,
 )
+from .params import E2Params
+from .states import GaussianState
 
 __all__ = [
     "series_coefficient",
@@ -32,6 +41,8 @@ __all__ = [
     "partial_trace_vector_outer",
     "kb_resolution_check",
     "gamma_entry_enumerated",
+    "mixing_kernel_element",
+    "marginal_via_e2",
 ]
 
 
@@ -266,3 +277,64 @@ def gamma_entry_enumerated(lam, k, l) -> complex:
                     term *= lam[i, j] ** rij / math.factorial(rij)
         total += term
     return complex(math.sqrt(multi_factorial(k) * multi_factorial(l)) * total)
+
+
+# ---------------------------------------------------------------------------
+# the paper's closed forms, kept as cross-checks
+
+
+def mixing_kernel_element(a, lam_vec, t, s, tol: float = DEFAULT_TOL) -> complex:
+    """<t| rho(A, D_lambda) |s> through the mixing kernel acting on |psi_A><psi_A|.
+
+    (c(A, D)/c(A, 0)) sum_{r <= t ^ s} sqrt(binom(t,r) binom(s,r)) lambda^r
+    <t - r|psi_A><psi_A|s - r>.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=complex))
+    lam_vec = np.asarray(lam_vec, dtype=float).reshape(-1)
+    d = np.diag(lam_vec.astype(complex))
+    t = tuple(int(x) for x in t)
+    s = tuple(int(x) for x in s)
+    c_ratio = c_factor(a, d, tol) / c_factor(a, np.zeros_like(d), tol)
+    cpure = c_factor(a, np.zeros_like(d), tol)
+    total = 0.0 + 0.0j
+    for r in product(*(range(min(x, y) + 1) for x, y in zip(t, s))):
+        weight = math.sqrt(multi_binomial(t, r) * multi_binomial(s, r))
+        lam_pow = np.prod(lam_vec ** np.array(r)) if sum(r) else 1.0
+        amp_t = phi(a, tuple(x - y for x, y in zip(t, r)))
+        amp_s = phi(a, tuple(x - y for x, y in zip(s, r)))
+        total += weight * lam_pow * cpure * amp_t * np.conj(amp_s)
+    return complex(c_ratio * total)
+
+
+def marginal_via_e2(state: GaussianState, keep: list[int]) -> E2Params:
+    """Reduced state on `keep` by the direct E2-parameter formula, mean-zero states.
+
+    With blocks taken across kept (0) and traced (1) modes and
+    C01 = [Lambda01 + 2 A01, i(Lambda01 - 2 A01)]:
+
+        A0      = A00     + (1/4) C01 M(A11, Lambda11)^{-1} C01^T
+        Lambda0 = Lambda00 + (1/2) C01 M(A11, Lambda11)^{-1} C01^dagger
+        c0      = c(A, Lambda) / c(A11, Lambda11)
+
+    Cross-check of states.marginal, which restricts the covariance.
+    """
+    keep = [int(m) for m in keep]
+    drop = [m for m in range(state.n) if m not in keep]
+    if not keep or not drop:
+        raise ValueError("keep must be a nonempty proper subset of the modes")
+    p = state.params
+    if np.any(p.mu):
+        raise UnsupportedStateError("E2-direct marginal implemented for mean-zero states")
+    a00 = p.a[np.ix_(keep, keep)]
+    a01 = p.a[np.ix_(keep, drop)]
+    a11 = p.a[np.ix_(drop, drop)]
+    l00 = p.lam[np.ix_(keep, keep)]
+    l01 = p.lam[np.ix_(keep, drop)]
+    l11 = p.lam[np.ix_(drop, drop)]
+    c01 = np.hstack([l01 + 2.0 * a01, 1j * (l01 - 2.0 * a01)])
+    m11_inv = np.linalg.inv(m_matrix(a11, l11, state.tol))
+    a0 = a00 + 0.25 * (c01 @ m11_inv @ c01.T)
+    lam0 = l00 + 0.5 * (c01 @ m11_inv @ c01.conj().T)
+    c0 = c_factor(p.a, p.lam, state.tol) / c_factor(a11, l11, state.tol)
+    return E2Params(c0, np.zeros(len(keep), dtype=complex),
+                    0.5 * (a0 + a0.T), 0.5 * (lam0 + lam0.conj().T))

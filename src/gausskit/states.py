@@ -3,18 +3,18 @@
 GaussianState wraps the canonical quadruple and caches the derived
 covariance pair.  On top of it: characteristic function, photon-number
 statistics, marginals, bipartite separability tests for pure states,
-complete-entanglement scans, and the displacement/rotation normal form.
+the complete-entanglement test, and the displacement/rotation normal form.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, thread_count
-from .core import c_factor, m_matrix, takagi
+from .config import DEFAULT_TOL
+from .core import takagi
 from .errors import InvalidStateError, UnsupportedStateError
 from .fock import TruncatedOperator, dmf, general_truncate
 from .params import (
@@ -41,7 +41,6 @@ __all__ = [
     "characteristic_function",
     "number_distribution",
     "marginal",
-    "marginal_via_e2",
     "is_pure_separable",
     "is_completely_entangled_pure",
     "complete_entanglement_certificate",
@@ -183,44 +182,6 @@ def marginal(state: GaussianState, modes: list[int]) -> GaussianState:
     return GaussianState.from_cov(sub, state.tol)
 
 
-def marginal_via_e2(state: GaussianState, modes: list[int],
-                    quarter_prefactor: bool = True) -> E2Params:
-    """Marginal through the direct E2-parameter formula (validated alternative).
-
-    With blocks taken across kept/traced modes and
-    C01 = [Lambda01 + 2 A01, i(Lambda01 - 2 A01)]:
-
-        A0      = A00 + q C01 M(A11, Lambda11)^{-1} C01^T
-        Lambda0 = Lambda00 + q C01 M(A11, Lambda11)^{-1} C01^dagger
-
-    quarter_prefactor=True uses q = 1/4, which on the two-mode squeezed
-    vacuum yields Lambda0 = 2|beta|^2 where the covariance path and the
-    partial-trace oracle both give 4|beta|^2; q = 1/2
-    (quarter_prefactor=False) is the value that reconciles them.  The
-    covariance path in marginal() is authoritative; this one exists for
-    cross-checking and the tests record the q = 1/4 discrepancy.
-    """
-    modes = _check_subset(state.n, modes)
-    drop = [m for m in range(state.n) if m not in modes]
-    p = state.params
-    if np.any(p.mu):
-        raise UnsupportedStateError("E2-direct marginal implemented for mean-zero states")
-    q = 0.25 if quarter_prefactor else 0.5
-    a00 = p.a[np.ix_(modes, modes)]
-    a01 = p.a[np.ix_(modes, drop)]
-    a11 = p.a[np.ix_(drop, drop)]
-    l00 = p.lam[np.ix_(modes, modes)]
-    l01 = p.lam[np.ix_(modes, drop)]
-    l11 = p.lam[np.ix_(drop, drop)]
-    c01 = np.hstack([l01 + 2.0 * a01, 1j * (l01 - 2.0 * a01)])
-    m11_inv = np.linalg.inv(m_matrix(a11, l11, state.tol))
-    a0 = a00 + q * (c01 @ m11_inv @ c01.T)
-    lam0 = l00 + q * (c01 @ m11_inv @ c01.conj().T)
-    c0 = c_factor(p.a, p.lam, state.tol) / c_factor(a11, l11, state.tol)
-    return E2Params(c0, np.zeros(len(modes), dtype=complex),
-                    0.5 * (a0 + a0.T), 0.5 * (lam0 + lam0.conj().T))
-
-
 def all_bipartitions(n: int) -> list[tuple[list[int], list[int]]]:
     """The 2^(n-1) - 1 basis-aligned splits, as (subset containing mode 0, rest)."""
     out = []
@@ -247,20 +208,51 @@ def is_pure_separable(state: GaussianState, modes: list[int],
     return bool(_offdiag_norm(state.params.a, left, right) <= tol * scale)
 
 
+def _min_cut_weight(w: np.ndarray) -> float:
+    """Weight of a global minimum cut of the graph with symmetric weights w.
+
+    Stoer-Wagner: each phase adds vertices in maximum-adjacency order, the
+    weight joining the last one to the rest is a cut, and the last vertex
+    is merged into the one added before it.  n - 1 phases, O(n^3) in all.
+    Diagonal entries are self-loops and never enter a cut.
+    """
+    w = np.array(w, dtype=float)
+    best = math.inf
+    while len(w) > 1:
+        m = len(w)
+        added = np.zeros(m, dtype=bool)
+        added[0] = True
+        key = w[0].copy()
+        prev = last = 0
+        for _ in range(m - 1):
+            weights = np.where(added, -np.inf, key)
+            v = int(np.argmax(weights))
+            cut = float(weights[v])
+            added[v] = True
+            prev, last = last, v
+            key += w[v]
+        best = min(best, cut)
+        w[prev] += w[last]
+        w[:, prev] += w[:, last]
+        keep = np.arange(m) != last
+        w = w[np.ix_(keep, keep)]
+    return best
+
+
 def is_completely_entangled_pure(state: GaussianState, tol: float | None = None) -> bool:
-    """Exact scan: entangled across every basis-aligned bipartition."""
+    """Entangled across every basis-aligned bipartition, by is_pure_separable's test.
+
+    A split (L | R) is separable when ||A[L, R]||_F <= tol * (1 + max |A_ij|).
+    The least ||A[L, R]||_F^2 over all 2^(n-1) - 1 splits is the global
+    minimum cut of the mode graph with edge weights |A_ij|^2, found exactly
+    in O(n^3) by Stoer-Wagner (J. ACM 44(4), 1997) instead of by a scan.
+    """
+    tol = state.tol if tol is None else tol
     if not state.is_pure():
         raise UnsupportedStateError("complete-entanglement test applies to pure states only")
-    splits = all_bipartitions(state.n)
-
-    def entangled(split) -> bool:
-        return not is_pure_separable(state, split[0], tol)
-
-    workers = thread_count()
-    if workers > 1 and len(splits) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return all(pool.map(entangled, splits))
-    return all(map(entangled, splits))
+    a = state.params.a
+    scale = 1.0 + np.abs(a).max()
+    return bool(math.sqrt(_min_cut_weight(np.abs(a) ** 2)) > tol * scale)
 
 
 def complete_entanglement_certificate(state: GaussianState,

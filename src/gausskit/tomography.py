@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import EstimationError
 from .fock import general_truncate
-from .params import E2Params, GeneralE2Params
+from .params import GeneralE2Params
 from .states import GaussianState
 
 __all__ = [
@@ -193,20 +193,21 @@ def _bracket(window, imap, zeta_l: dict, zeta_r: dict) -> complex:
     return out
 
 
-def outcome_probabilities(state: GaussianState, spec: MeasurementSpec,
-                          cutoff: int = 2, tol: float = 1e-9) -> np.ndarray:
-    """Exact outcome distribution of `spec` in `state`.
+def _window(state: GaussianState) -> tuple[np.ndarray, dict]:
+    """The cutoff-2 window matrix and its basis index map.
 
-    Projector vectors live in the <=2-particle subspace, where the window
-    matrix is exact, so cutoff 2 already gives exact probabilities.
+    Every projector vector lives in the <=2-particle subspace, where the
+    window is exact, so one window gives exact probabilities for every spec.
     """
-    if cutoff < 2:
-        raise ValueError("cutoff must be at least 2")
     op = general_truncate(state.params.as_general(), 2)
-    imap = {t: i for i, t in enumerate(op.basis)}
+    return op.entries, {t: i for i, t in enumerate(op.basis)}
+
+
+def _spec_probabilities(window, imap, spec: MeasurementSpec,
+                        tol: float = 1e-9) -> np.ndarray:
     probs = []
     for zeta in spec.vectors:
-        p = _bracket(op.entries, imap, zeta, zeta).real
+        p = _bracket(window, imap, zeta, zeta).real
         if p < -tol or p > 1.0 + tol:
             raise EstimationError(f"projector expectation {p!r} outside [0, 1]")
         probs.append(min(max(p, 0.0), 1.0))
@@ -215,6 +216,12 @@ def outcome_probabilities(state: GaussianState, spec: MeasurementSpec,
         raise EstimationError("outcome probabilities exceed 1")
     probs.append(max(rest, 0.0))
     return np.array(probs)
+
+
+def outcome_probabilities(state: GaussianState, spec: MeasurementSpec,
+                          tol: float = 1e-9) -> np.ndarray:
+    """Exact outcome distribution of `spec` in `state`."""
+    return _spec_probabilities(*_window(state), spec, tol)
 
 
 def sample(probabilities, k: int, seed) -> np.ndarray:
@@ -239,10 +246,13 @@ def _stream_seed(seed: int, stream: int) -> np.random.SeedSequence:
 def simulate_battery(state: GaussianState, shots: int, seed: int,
                      specs: list[MeasurementSpec] | None = None) -> list[dict]:
     """Sampled counts for every spec; one independent substream per spec."""
+    if shots < 1:
+        raise ValueError(f"shots must be at least 1, got {shots}")
     specs = standard_battery(state.n) if specs is None else specs
+    window, imap = _window(state)
     out = []
     for i, spec in enumerate(specs):
-        p = outcome_probabilities(state, spec)
+        p = _spec_probabilities(window, imap, spec)
         counts = sample(p, shots, _stream_seed(seed, i))
         out.append({"spec": spec, "counts": counts, "shots": int(shots)})
     return out
@@ -294,6 +304,8 @@ def estimate(measurements: list[dict], tol: float = 1e-9) -> EstimationReport:
     """
     by_name: dict[str, dict] = {}
     for m in measurements:
+        if not float(m["shots"]) > 0:
+            raise ValueError(f"measurement {m['spec'].name}: shots must be > 0")
         by_name[m["spec"].name] = m
     if "M0" not in by_name or "VN" not in by_name:
         raise ValueError("measurement battery must include M0 and VN")
@@ -454,7 +466,3 @@ def estimate(measurements: list[dict], tol: float = 1e-9) -> EstimationReport:
     shots = {name: m["shots"] for name, m in by_name.items()}
     return EstimationReport(estimates, stderr, counts, shots)
 
-
-def estimates_as_state_params(report: EstimationReport) -> E2Params:
-    """Collapse a report's self-adjoint estimates to the quadruple form."""
-    return report.estimates.as_positive(tol=1e-6)

@@ -16,12 +16,11 @@ from gausskit.fock import (
     dmf,
     general_truncate,
     matrix_element,
-    mixing_kernel_element,
     multi_factorial,
     phi,
     z1_matrix,
 )
-from gausskit.oracles import partial_trace, series_coefficient
+from gausskit.oracles import mixing_kernel_element, partial_trace, series_coefficient
 from gausskit.params import cov_to_e2, e2_to_cov, state_params
 from gausskit.semigroup import (
     adjoint_params,

@@ -6,7 +6,7 @@ import pytest
 
 from gausskit import io
 from gausskit.cli import main
-from gausskit.params import E2Params, state_params
+from gausskit.params import E2Params, e2_to_cov, state_params
 from gausskit.states import smsv, tmsv
 
 
@@ -168,3 +168,64 @@ class TestTomographyPipeline:
         _, second = run_cli(capsys, "tomo-simulate", "--state", str(path),
                             "--shots", "5000", "--seed", "3")
         assert first == second
+
+
+def assert_one_line_error(capsys, *argv) -> str:
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+class TestBoundary:
+    @pytest.mark.parametrize("flag, value", [("--cutoff", "-1"), ("--tol", "0"),
+                                             ("--tol", "nan")])
+    def test_bad_config_one_line(self, capsys, smsv_file, flag, value):
+        assert_one_line_error(capsys, "dmf", "--state", smsv_file, flag, value)
+
+    @pytest.mark.parametrize("shots", ["0", "-5"])
+    def test_simulate_rejects_nonpositive_shots(self, capsys, smsv_file, shots):
+        err = assert_one_line_error(capsys, "tomo-simulate", "--state", smsv_file,
+                                    "--shots", shots)
+        assert "shots" in err
+
+    def test_estimate_rejects_zero_shots(self, capsys, tmp_path, smsv_file):
+        code, sim_text = run_cli(capsys, "tomo-simulate", "--state", smsv_file,
+                                 "--shots", "100")
+        assert code == 0
+        sim = json.loads(sim_text)
+        sim["measurements"][0]["shots"] = 0
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(sim))
+        err = assert_one_line_error(capsys, "tomo-estimate", "--counts", str(path))
+        assert "M0" in err
+
+    @pytest.mark.parametrize("command", ["convert", "validate", "dmf", "marginal",
+                                         "entanglement", "tomo-simulate"])
+    @pytest.mark.parametrize("field, entry, value", [
+        ("mu", (0, 0), math.inf), ("A", (0, 1, 0), math.nan),
+        ("Lambda", (1, 1, 0), -math.inf)])
+    def test_non_finite_entries_rejected(self, capsys, tmp_path, command,
+                                         field, entry, value):
+        data = tmsv(0.35).params.to_json_dict()
+        target = data[field]
+        for i in entry[:-1]:
+            target = target[i]
+        target[entry[-1]] = value
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(data))
+        extra = {"marginal": ["--split", "0"], "tomo-simulate": ["--shots", "10"]}
+        err = assert_one_line_error(capsys, command, "--state", str(path),
+                                    *extra.get(command, []))
+        assert repr(field) in err
+
+    def test_non_finite_covariance_rejected(self, capsys, tmp_path):
+        data = e2_to_cov(tmsv(0.35).params).to_json_dict()
+        data["S"][0][0] = math.nan
+        path = tmp_path / "cov.json"
+        path.write_text(json.dumps(data))
+        err = assert_one_line_error(capsys, "convert", "--state", str(path))
+        assert "'S'" in err

@@ -18,7 +18,6 @@ from gausskit.fock import (
     gamma_matrix,
     general_truncate,
     matrix_element,
-    mixing_kernel_element,
     multi_binomial,
     multi_factorial,
     phi,
@@ -28,6 +27,7 @@ from gausskit.fock import (
 )
 from gausskit.oracles import (
     gamma_entry_enumerated,
+    mixing_kernel_element,
     series_coefficient,
     truncated_exp_annihilation,
 )
@@ -253,15 +253,6 @@ class TestDMF:
             traces.append(rho.trace().real)
         assert all(t2 >= t1 - 1e-12 for t1, t2 in zip(traces, traces[1:]))
         assert traces[-1] <= 1.0 + 1e-10
-
-    def test_tail_bound_covers_deficit(self):
-        lam = 0.5
-        rho = dmf([[0.0]], [[lam]], 10)
-        deficit = 1.0 - rho.trace().real
-        bound = rho.tail_bound()
-        # geometric shells make the extrapolation exact for a thermal state
-        assert bound >= deficit > 0.0
-        assert abs(bound - 2 * deficit) < 1e-12
 
     def test_rejects_invalid(self):
         with pytest.raises(InvalidStateError):

@@ -11,7 +11,7 @@ brute-force reference:
 - fock.gamma_lambda_entry      <- gamma_entry_enumerated (test_fock)
 - fock.dmf / matrix_element    <- z1_matrix product, general_truncate, mixing kernel
 - fock.pure_state_vector       <- kb_resolution_check norm, closed-form families
-- states.marginal              <- partial_trace / partial_trace_vector_outer
+- states.marginal              <- partial_trace / partial_trace_vector_outer, marginal_via_e2
 - semigroup.compose            <- truncated matrix products + quadrature_gaussian
 - semigroup.gamma0_params      <- vacuum image vs pure_state_vector, unitarity
 """

@@ -5,7 +5,7 @@ import pytest
 
 from gausskit.errors import InvalidStateError, UnsupportedStateError
 from gausskit.fock import basis_indices, dmf, pure_state_vector
-from gausskit.oracles import partial_trace, partial_trace_vector_outer
+from gausskit.oracles import marginal_via_e2, partial_trace, partial_trace_vector_outer
 from gausskit.params import E2Params, state_params
 from gausskit.semigroup import conjugate_by_gamma, conjugate_by_weyl
 from gausskit.states import (
@@ -18,7 +18,6 @@ from gausskit.states import (
     is_completely_entangled_pure,
     is_pure_separable,
     marginal,
-    marginal_via_e2,
     normal_form,
     number_distribution,
     smsv,
@@ -190,17 +189,19 @@ class TestMarginal:
                           - direct.entries[np.ix_(inner, inner)]).max()
             assert diff < 1e-8
 
-    def test_direct_formula_prefactor_discrepancy(self):
-        # q = 1/4 gives 2 beta^2; the covariance path gives 4 beta^2;
-        # q = 1/2 reconciles the two analytic routes (known open point,
-        # resolved in favor of the covariance/partial-trace paths)
+    def test_e2_oracle_matches_covariance_path(self, rng):
+        # the direct E2 formula (1/4 on A, 1/2 on Lambda) against marginal()
         beta = 0.35
-        st = tmsv(beta)
-        quarter = marginal_via_e2(st, [0], quarter_prefactor=True)
-        assert abs(quarter.lam[0, 0] - 2 * beta ** 2) < 1e-12
-        halved = marginal_via_e2(st, [0], quarter_prefactor=False)
-        assert abs(halved.lam[0, 0] - 4 * beta ** 2) < 1e-12
-        assert abs(halved.lam[0, 0] - marginal(st, [0]).params.lam[0, 0]) < 1e-10
+        assert abs(marginal_via_e2(tmsv(beta), [0]).lam[0, 0] - 4 * beta ** 2) < 1e-12
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            st = GaussianState(random_state(rng, n, with_mean=False))
+            keep = sorted(rng.permutation(n)[: int(rng.integers(1, n))].tolist())
+            want = marginal(st, keep).params
+            got = marginal_via_e2(st, keep)
+            assert abs(got.c - want.c) < 1e-12
+            assert np.abs(got.a - want.a).max() < 1e-12
+            assert np.abs(got.lam - want.lam).max() < 1e-12
 
     def test_rejects_bad_subsets(self):
         st = vacuum(2)
@@ -257,6 +258,45 @@ class TestCompleteEntanglement:
         assert np.linalg.norm(a, 2) < 0.5
         st = GaussianState.from_a_lambda(a, np.zeros((3, 3)))
         assert is_completely_entangled_pure(st)
+
+    def test_min_cut_matches_split_scan(self, rng):
+        def scan(st, tol):
+            return all(not is_pure_separable(st, left, tol)
+                       for left, _ in all_bipartitions(st.n))
+
+        tol = 1e-3
+        seen = set()
+        for n in range(2, 8):
+            for trial in range(30):
+                a = random_symmetric(rng, n, 0.2)
+                if n == 2 or trial % 3 == 0:
+                    drop = rng.random((n, n)) < 0.4
+                    a[drop | drop.T] = 0.0
+                else:
+                    # band state: every crossing entry below tol * scale and
+                    # the block norm 0.6 or 1.3 times it (|L||R| >= 2)
+                    perm = rng.permutation(n)
+                    left = perm[: int(rng.integers(1, n))]
+                    right = perm[len(left):]
+                    a[np.ix_(left, right)] = 0.0
+                    a[np.ix_(right, left)] = 0.0
+                    scale = 1.0 + np.abs(a).max()
+                    factor = 0.6 if trial % 3 == 1 else 1.3
+                    eps = factor * tol * scale / math.sqrt(len(left) * len(right))
+                    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, (len(left), len(right))))
+                    a[np.ix_(left, right)] = eps * phases
+                    a[np.ix_(right, left)] = eps * phases.T
+                    assert 1.0 + np.abs(a).max() == scale
+                    assert eps < tol * scale
+                st = GaussianState.from_a_lambda(a, np.zeros((n, n)))
+                want = scan(st, tol)
+                seen.add(want)
+                assert is_completely_entangled_pure(st, tol) is want
+        assert seen == {True, False}
+
+    def test_sixteen_modes(self, rng):
+        st = random_pure(rng, 16)
+        assert is_completely_entangled_pure(st) is True
 
     def test_report_structure(self):
         rep = entanglement_report(tmsv(0.3))

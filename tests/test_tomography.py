@@ -176,6 +176,29 @@ class TestEstimation:
                 if j != k:
                     assert abs(d.imag) <= 3 * rep.stderr[f"Lambda_im[{j},{k}]"]
 
+    def test_battery_reads_one_window(self, monkeypatch):
+        # counts equal per-spec sampling of outcome_probabilities, bit for bit
+        import gausskit.tomography as tomo
+        st = criterion_state()
+        want = [sample(outcome_probabilities(st, s), 5000, tomo._stream_seed(11, i))
+                for i, s in enumerate(standard_battery(2))]
+        calls = []
+        monkeypatch.setattr(tomo, "general_truncate",
+                            lambda *a: calls.append(a) or general_truncate(*a))
+        got = simulate_battery(st, 5000, seed=11)
+        assert len(calls) == 1
+        assert [r["counts"].tolist() for r in got] == [w.tolist() for w in want]
+
+    def test_nonpositive_shots_rejected(self):
+        st = criterion_state()
+        for shots in (0, -5):
+            with pytest.raises(ValueError, match="shots"):
+                simulate_battery(st, shots, seed=0)
+        runs = simulate_battery(st, 1000, seed=0)
+        runs[3] = dict(runs[3], shots=0)
+        with pytest.raises(ValueError, match=r"Mj0\(2\)"):
+            estimate(runs)
+
     def test_missing_measurement_rejected(self):
         st = criterion_state()
         runs = simulate_battery(st, 1000, seed=0)[:-2]
