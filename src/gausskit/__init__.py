@@ -34,7 +34,6 @@ from .fock import (
     dmf,
     e_a_matrix,
     enumerate_delta,
-    gamma_lambda_entry,
     general_truncate,
     matrix_element,
     phi,

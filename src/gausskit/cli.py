@@ -19,7 +19,7 @@ from .config import Config
 from .core import is_positive_definite, m_matrix
 from .errors import GausskitError
 from .fock import dmf, general_truncate, pure_state_vector
-from .params import CovarianceParams, E2Params, cov_to_e2, e2_to_cov
+from .params import CovarianceParams, E2Params, cov_to_e2, is_normalized
 from .states import (
     GaussianState,
     characteristic_function,
@@ -76,7 +76,7 @@ def _cmd_convert(args, cfg: Config) -> int:
     if isinstance(params, CovarianceParams):
         _emit(io.dumps(cov_to_e2(params, cfg.tol).to_json_dict()))
     else:
-        _emit(io.dumps(e2_to_cov(params, cfg.tol).to_json_dict()))
+        _emit(io.dumps(_as_state(params, cfg.tol).cov.to_json_dict()))
     return 0
 
 
@@ -91,7 +91,7 @@ def _cmd_validate(args, cfg: Config) -> int:
         params = cov_to_e2(params, cfg.tol)
     m = m_matrix(params.a, params.lam, cfg.tol)
     min_eig = float(np.linalg.eigvalsh(m)[0])
-    valid = is_positive_definite(m, cfg.tol)
+    valid = is_positive_definite(m, cfg.tol) and is_normalized(params, cfg.tol)
     _emit(io.dumps({"valid": bool(valid), "min_eig_M": min_eig}))
     return 0 if valid else _INVALID_EXIT
 
@@ -121,7 +121,7 @@ def _cmd_statevec(args, cfg: Config) -> int:
     return 0
 
 
-def _parse_split(raw: str, n: int) -> list[int]:
+def _parse_split(raw: str) -> list[int]:
     try:
         modes = [int(x) for x in raw.split(",") if x.strip() != ""]
     except ValueError as exc:
@@ -134,7 +134,7 @@ def _cmd_marginal(args, cfg: Config) -> int:
     state = _as_state(params, cfg.tol)
     if args.split is None:
         raise ValueError("marginal requires --split")
-    modes = _parse_split(args.split, state.n)
+    modes = _parse_split(args.split)
     sub = marginal(state, modes)
     _emit(io.dumps(sub.params.to_json_dict()))
     return 0
@@ -144,7 +144,7 @@ def _cmd_entanglement(args, cfg: Config) -> int:
     params = _load_state_dict(args.state)
     state = _as_state(params, cfg.tol)
     if args.split is not None:
-        modes = _parse_split(args.split, state.n)
+        modes = _parse_split(args.split)
         right = [m for m in range(state.n) if m not in modes]
         label = ",".join(map(str, modes)) + "|" + ",".join(map(str, right))
         sep = is_pure_separable(state, modes, cfg.tol)
@@ -165,6 +165,8 @@ def _cmd_charfn(args, cfg: Config) -> int:
         zdata = json.loads(args.z)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON in --z: {exc}") from exc
+    if not isinstance(zdata, list):
+        raise ValueError("--z: expected a JSON list of [re, im] pairs")
     pts = io.cvec_from_json(zdata, "z") if zdata and isinstance(zdata[0], list) \
         else io.cvec_from_json([zdata], "z")
     if pts.shape[0] % state.n:
@@ -196,10 +198,14 @@ def _cmd_tomo_simulate(args, cfg: Config) -> int:
 
 def _cmd_tomo_estimate(args, cfg: Config) -> int:
     data = _load_json(args.counts)
-    if "measurements" not in data:
-        raise ValueError("field 'measurements': missing from counts file")
+    if not isinstance(data, dict) or not isinstance(data.get("measurements"), list):
+        raise ValueError("field 'measurements': counts file needs a list of measurements")
     runs = []
-    for m in data["measurements"]:
+    for i, m in enumerate(data["measurements"]):
+        if not isinstance(m, dict) or not isinstance(m.get("spec"), dict):
+            raise ValueError(f"field 'spec': measurement {i} needs a spec object")
+        if not isinstance(m.get("counts"), list):
+            raise ValueError(f"field 'counts': measurement {i} needs a list of counts")
         spec = MeasurementSpec.from_json_dict(m["spec"])
         runs.append({"spec": spec, "counts": np.asarray(m["counts"], dtype=float),
                      "shots": m.get("shots", sum(m["counts"]))})

@@ -25,12 +25,10 @@ from .params import E2Params, GeneralE2Params, is_valid_state
 __all__ = [
     "multi_factorial",
     "multi_binomial",
-    "wedge",
     "basis_indices",
     "basis_index_map",
     "enumerate_delta",
     "phi",
-    "gamma_lambda_entry",
     "gamma_matrix",
     "e_a_matrix",
     "dmf",
@@ -64,11 +62,6 @@ def multi_binomial(t, s) -> int:
             return 0
         out *= math.comb(int(a), int(b))
     return out
-
-
-def wedge(t, s) -> tuple:
-    """Componentwise minimum."""
-    return tuple(min(int(a), int(b)) for a, b in zip(t, s))
 
 
 def _degree_indices(n: int, deg: int) -> list[tuple]:
@@ -211,45 +204,6 @@ def phi(b, t) -> complex:
 
 # ---------------------------------------------------------------------------
 # second quantization in the particle basis
-
-
-def gamma_lambda_entry(lam, k, l) -> complex:
-    """<k| Gamma(Lambda) |l>: coefficient of u^k v^l in exp(u^T Lambda v), normalized.
-
-    Equals sqrt(k! l!) times the sum over nonnegative integer matrices R
-    with row sums k and column sums l of prod Lambda_ij^R_ij / R_ij!.
-    Vanishes unless |k| = |l|.  Evaluated exactly (cost grows
-    combinatorially with |k|; fine at desk scale).
-    """
-    lam = np.atleast_2d(np.asarray(lam, dtype=complex))
-    k = tuple(int(x) for x in k)
-    l = tuple(int(x) for x in l)
-    if sum(k) != sum(l):
-        return 0.0 + 0.0j
-    memo: dict[tuple, complex] = {}
-    g = _g_recursive(lam, k, l, memo)
-    return complex(math.sqrt(multi_factorial(k) * multi_factorial(l)) * g)
-
-
-def _g_recursive(lam: np.ndarray, k: tuple, l: tuple, memo: dict) -> complex:
-    # g(k, l) = [u^k v^l] exp(u^T Lambda v); exact recursion
-    # g(k, l) = (1/k_j) sum_i Lambda_ji sqrt-free g(k - e_j, l - e_i)
-    if sum(k) == 0:
-        return 1.0 if sum(l) == 0 else 0.0
-    key = (k, l)
-    val = memo.get(key)
-    if val is not None:
-        return val
-    j = next(i for i, x in enumerate(k) if x > 0)
-    km = k[:j] + (k[j] - 1,) + k[j + 1:]
-    total = 0.0 + 0.0j
-    for i, li in enumerate(l):
-        if li > 0 and lam[j, i] != 0:
-            lm = l[:i] + (li - 1,) + l[i + 1:]
-            total += lam[j, i] * _g_recursive(lam, km, lm, memo)
-    total /= k[j]
-    memo[key] = total
-    return total
 
 
 def gamma_matrix(lam, cutoff: int, basis: list[tuple] | None = None) -> np.ndarray:
@@ -472,45 +426,17 @@ def dmf(a, lam, cutoff: int, tol: float = DEFAULT_TOL) -> TruncatedOperator:
 def matrix_element(a, lam, t, s, tol: float = DEFAULT_TOL) -> complex:
     """Single entry <t| rho(A, Lambda) |s> without building the window.
 
-    Sum over s1 <= t, s2 <= s with |s1| = |s2| of
-    E_A(t, s1) <s1|Gamma(Lambda)|s2> conj(E_A(s, s2)), times c(A, Lambda).
+    rho's generating function is c(A, Lambda) exp(x^T Q x) in x = (u, v)
+    with Q = [[A, Lambda/2], [Lambda^T/2, conj(A)]], so the entry is
+    c(A, Lambda) phi_Q(t + s), the tuples joined end to end.
     """
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     lam = np.atleast_2d(np.asarray(lam, dtype=complex))
     if not is_valid_state(a, lam, tol):
         raise InvalidStateError("(A, Lambda) is not a valid Gaussian state")
-    t = tuple(int(x) for x in t)
-    s = tuple(int(x) for x in s)
-    table = _phi_table(a)
-    diagonal = np.abs(lam - np.diag(np.diag(lam))).max() == 0
-    lam_diag = np.diag(lam)
-    total = 0.0 + 0.0j
-    memo: dict[tuple, complex] = {}
-    for s1 in product(*(range(x + 1) for x in t)):
-        e1 = math.sqrt(multi_binomial(t, s1)) * table(tuple(x - y for x, y in zip(t, s1)))
-        if e1 == 0:
-            continue
-        if diagonal:
-            if not all(y <= x for x, y in zip(s, s1)):
-                continue
-            lam_pow = np.prod(lam_diag ** np.array(s1)) if sum(s1) else 1.0
-            e2 = math.sqrt(multi_binomial(s, s1)) * table(tuple(x - y for x, y in zip(s, s1)))
-            total += e1 * lam_pow * np.conj(e2)
-        else:
-            d1 = sum(s1)
-            for s2 in product(*(range(x + 1) for x in s)):
-                if sum(s2) != d1:
-                    continue
-                e2 = math.sqrt(multi_binomial(s, s2)) * table(tuple(x - y for x, y in zip(s, s2)))
-                if e2 == 0:
-                    continue
-                key = (s1, s2)
-                gam = memo.get(key)
-                if gam is None:
-                    gam = gamma_lambda_entry(lam, s1, s2)
-                    memo[key] = gam
-                total += e1 * gam * np.conj(e2)
-    return complex(c_factor(a, lam, tol) * total)
+    q = np.block([[a, 0.5 * lam], [0.5 * lam.T, a.conj()]])
+    ts = tuple(int(x) for x in t) + tuple(int(x) for x in s)
+    return complex(c_factor(a, lam, tol) * _phi_direct(q, ts))
 
 
 def pure_state_vector(a, cutoff: int, tol: float = DEFAULT_TOL) -> TruncatedVector:

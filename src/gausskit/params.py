@@ -33,6 +33,7 @@ __all__ = [
     "is_valid_state",
     "normalization_c",
     "trace_of_positive",
+    "is_normalized",
     "is_pure",
     "cov_to_e2",
     "e2_to_cov",
@@ -111,8 +112,14 @@ class E2Params:
         for key in ("n", "c", "mu", "A", "Lambda"):
             if key not in data:
                 raise ValueError(f"field {key!r}: missing from E2 state file")
-        n = int(data["n"])
-        c = complex(data["c"][0], data["c"][1])
+        try:
+            n = int(data["n"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError("field 'n': expected an integer") from exc
+        try:
+            c = complex(data["c"][0], data["c"][1])
+        except (TypeError, IndexError, KeyError) as exc:
+            raise ValueError("field 'c': expected an [re, im] pair") from exc
         if abs(c.imag) > 1e-12 * (1.0 + abs(c.real)):
             raise ValueError("field 'c': must be real for a positive operator")
         mu = io.cvec_from_json(data["mu"], "mu")
@@ -296,6 +303,11 @@ def trace_of_positive(p: E2Params, tol: float = DEFAULT_TOL) -> float:
         raise NotTraceClassError("M(A, Lambda) not strictly positive: not trace class")
     quad = _mu_split(p.mu) @ np.linalg.solve(m, _mu_split(p.mu))
     return float(p.c / c_factor(p.a, p.lam, tol) * np.exp(quad))
+
+
+def is_normalized(p: E2Params, tol: float = DEFAULT_TOL) -> bool:
+    """True iff the positive operator with parameters p has unit trace (to 1e-8)."""
+    return abs(trace_of_positive(p, tol) - 1.0) <= 1e-8
 
 
 def is_pure(p: E2Params, tol: float = DEFAULT_TOL) -> bool:

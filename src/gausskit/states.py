@@ -22,6 +22,7 @@ from .params import (
     E2Params,
     cov_to_e2,
     e2_to_cov,
+    is_normalized,
     is_pure,
     is_valid_state,
     state_params,
@@ -56,8 +57,8 @@ class GaussianState:
     def __init__(self, params: E2Params, tol: float = DEFAULT_TOL):
         if not is_valid_state(params.a, params.lam, tol):
             raise InvalidStateError("parameters fail M(A, Lambda) > 0")
-        tr = trace_of_positive(params, tol)
-        if abs(tr - 1.0) > 1e-8:
+        if not is_normalized(params, tol):
+            tr = trace_of_positive(params, tol)
             raise InvalidStateError(f"parameters are not normalized: trace = {tr!r}")
         self._params = params
         self._tol = tol

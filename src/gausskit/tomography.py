@@ -294,7 +294,7 @@ def _chi_entry(params: GeneralE2Params, t: tuple) -> float:
     return float(op.entries[imap[t], imap[t]].real)
 
 
-def estimate(measurements: list[dict], tol: float = 1e-9) -> EstimationReport:
+def estimate(measurements: list[dict]) -> EstimationReport:
     """Back-substitution estimator c -> alpha -> (A, Lambda).
 
     `measurements` holds dicts {"spec": MeasurementSpec, "counts": ...,

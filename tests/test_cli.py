@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -229,3 +230,109 @@ class TestBoundary:
         path.write_text(json.dumps(data))
         err = assert_one_line_error(capsys, "convert", "--state", str(path))
         assert "'S'" in err
+
+    @pytest.mark.parametrize("command", ["convert", "validate", "dmf", "marginal",
+                                         "entanglement", "tomo-simulate"])
+    @pytest.mark.parametrize("field, value", [("n", None), ("c", 1.0)])
+    def test_malformed_e2_scalars_named(self, capsys, tmp_path, command, field, value):
+        data = tmsv(0.35).params.to_json_dict()
+        data[field] = value
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(data))
+        extra = {"marginal": ["--split", "0"], "tomo-simulate": ["--shots", "10"]}
+        err = assert_one_line_error(capsys, command, "--state", str(path),
+                                    *extra.get(command, []))
+        assert repr(field) in err
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"measurements": [{"counts": [3, 7], "shots": 10}]}', "'spec'"),
+        ('{"measurements": [{"spec": {"kind": "M0", "n": 1}}]}', "'counts'"),
+        ('{"measurements": [{"spec": 5, "counts": [3, 7]}]}', "'spec'"),
+        ('{"measurements": [{"spec": {"kind": "M0", "n": 1}, "counts": 5}]}', "'counts'"),
+        ('{"measurements": 5}', "'measurements'"),
+        ("5", "'measurements'")])
+    def test_malformed_counts_file_named(self, capsys, tmp_path, text, field):
+        path = tmp_path / "counts.json"
+        path.write_text(text)
+        err = assert_one_line_error(capsys, "tomo-estimate", "--counts", str(path))
+        assert field in err
+
+    def test_charfn_scalar_z(self, capsys, smsv_file):
+        err = assert_one_line_error(capsys, "charfn", "--state", smsv_file, "--z", "5")
+        assert "--z" in err
+
+
+class TestNormalization:
+    """validate, convert and dmf share GaussianState's unit-trace rule."""
+
+    @pytest.fixture
+    def unnormalized_file(self, tmp_path):
+        data = tmsv(0.35).params.to_json_dict()
+        data["c"][0] *= 0.9
+        path = tmp_path / "unnormalized.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_validate_reports_invalid(self, capsys, unnormalized_file):
+        code, out = run_cli(capsys, "validate", "--state", unnormalized_file)
+        assert code == 2
+        data = json.loads(out)
+        assert data["valid"] is False and data["min_eig_M"] > 0
+
+    @pytest.mark.parametrize("command", ["convert", "dmf"])
+    def test_window_and_convert_reject(self, capsys, unnormalized_file, command):
+        code = main([command, "--state", unnormalized_file])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "not normalized" in lines[0]
+
+
+# sha256 of CLI stdout for fixed inputs: output bytes are part of the CLI
+# contract, so a change that moves one of these hashes changes the contract.
+GOLDEN_ZERO = (
+    '{"n": 2, "c": [0.55076111881649725, 0], "mu": [[0, 0], [0, 0]], '
+    '"A": [[[0.10000000000000001, 0.050000000000000003], [0.12, -0.029999999999999999]], '
+    '[[0.12, -0.029999999999999999], [0, -0.080000000000000002]]], '
+    '"Lambda": [[[0.20000000000000001, 0], [0.050000000000000003, 0.040000000000000001]], '
+    '[[0.050000000000000003, -0.040000000000000001], [0.14999999999999999, 0]]]}')
+GOLDEN_DISPLACED = GOLDEN_ZERO.replace(
+    '"c": [0.55076111881649725, 0], "mu": [[0, 0], [0, 0]]',
+    '"c": [0.4382761704568266, 0], '
+    '"mu": [[0.29999999999999999, -0.10000000000000001], [-0.20000000000000001, 0.25]]')
+GOLDEN_TOMO = (
+    '{"n": 2, "c": [0.63139730756473766, 0], "mu": [[0, 0], [0, 0]], '
+    '"A": [[[0, 0], [0.20000000000000001, 0]], [[0.20000000000000001, 0], [0, 0]]], '
+    '"Lambda": [[[0.10000000000000001, 0], [0, 0.02]], [[0, -0.02], [0.12, 0]]]}')
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("state, fmt, digest", [
+        (GOLDEN_ZERO, "json", "20cbfbb97ca8598bfa6c648a120dac98fc75d63aaaa3fcde020cd32d58741ca6"),
+        (GOLDEN_ZERO, "csv", "acd094b30b130a3330ad8740b3d84233277cd17b6e81adda94b4d422925a3973"),
+        (GOLDEN_DISPLACED, "json",
+         "57b3205359fbc459f740216b13f7067208801c1a7f0e9599790656ffff1252a2"),
+        (GOLDEN_DISPLACED, "csv",
+         "01c8bc2ddbc0bf1ac575966ed590fbea6f0d1e16101189bdbae4bbc818661075")])
+    def test_dmf_bytes(self, capsys, tmp_path, state, fmt, digest):
+        path = tmp_path / "state.json"
+        path.write_text(state)
+        code, out = run_cli(capsys, "dmf", "--state", str(path), "--cutoff", "8",
+                            "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_tomography_bytes(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(GOLDEN_TOMO)
+        code, sim = run_cli(capsys, "tomo-simulate", "--state", str(path),
+                            "--shots", "10000", "--seed", "11")
+        assert code == 0
+        assert hashlib.sha256(sim.encode()).hexdigest() == \
+            "d03737f9e55f87902d67c34a2897bae80a7968946287dd9f7a411e0ec8fdc990"
+        counts = tmp_path / "counts.json"
+        counts.write_text(sim)
+        code, est = run_cli(capsys, "tomo-estimate", "--counts", str(counts))
+        assert code == 0
+        assert hashlib.sha256(est.encode()).hexdigest() == \
+            "14cf8c421509e5878f7aa6681f79421ef4b0616482030d2c2ffc32b70d6ba6d3"

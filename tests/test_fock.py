@@ -14,7 +14,6 @@ from gausskit.fock import (
     dmf,
     e_a_matrix,
     enumerate_delta,
-    gamma_lambda_entry,
     gamma_matrix,
     general_truncate,
     matrix_element,
@@ -22,7 +21,6 @@ from gausskit.fock import (
     multi_factorial,
     phi,
     pure_state_vector,
-    wedge,
     z1_matrix,
 )
 from gausskit.oracles import (
@@ -45,7 +43,6 @@ class TestMultiIndex:
         assert multi_factorial((3, 0, 2)) == 12
         assert multi_binomial((3, 2), (1, 2)) == 3
         assert multi_binomial((3, 2), (1, 3)) == 0
-        assert wedge((3, 1), (2, 5)) == (2, 1)
 
     @settings(max_examples=50, deadline=None)
     @given(occupations, st.data())
@@ -56,7 +53,6 @@ class TestMultiIndex:
         if all(x <= y for x, y in zip(s, t)):
             diff = tuple(y - x for x, y in zip(s, t))
             assert multi_binomial(t, s) == multi_binomial(t, diff)
-        assert wedge(t, s) == wedge(s, t)
 
     def test_basis_graded_lex(self):
         basis = basis_indices(2, 3)
@@ -155,23 +151,31 @@ class TestPhi:
             assert phi(b, t) == 0.0
 
 
+def gamma_entry(lam, k, l) -> complex:
+    """<k|Gamma(Lambda)|l> read from the window matrix."""
+    lam = np.atleast_2d(lam)
+    basis = basis_indices(lam.shape[0], max(sum(k), sum(l)))
+    gm = gamma_matrix(lam, max(sum(k), sum(l)), basis)
+    return complex(gm[basis.index(tuple(k)), basis.index(tuple(l))])
+
+
 class TestGammaEntries:
     def test_vacuum(self):
-        assert gamma_lambda_entry(np.eye(2), (0, 0), (0, 0)) == 1.0
+        assert gamma_entry(np.eye(2), (0, 0), (0, 0)) == 1.0
 
     def test_diagonal(self):
         lam = np.diag([0.3, 0.7])
-        assert abs(gamma_lambda_entry(lam, (2, 1), (2, 1)) - 0.3**2 * 0.7) < 1e-14
-        assert gamma_lambda_entry(lam, (2, 1), (1, 2)) == 0.0
+        assert abs(gamma_entry(lam, (2, 1), (2, 1)) - 0.3**2 * 0.7) < 1e-14
+        assert gamma_entry(lam, (2, 1), (1, 2)) == 0.0
 
     def test_particle_number_mismatch(self):
-        assert gamma_lambda_entry(np.ones((2, 2)), (1, 0), (1, 1)) == 0.0
+        assert gamma_entry(np.ones((2, 2)), (1, 0), (1, 1)) == 0.0
 
     def test_against_enumeration(self, rng):
         lam = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         for k in [(1, 0), (1, 1), (2, 1), (2, 2), (3, 1)]:
             for l in [(0, 1), (1, 1), (1, 2), (2, 2), (2, 2)]:
-                got = gamma_lambda_entry(lam, k, l)
+                got = gamma_entry(lam, k, l)
                 want = gamma_entry_enumerated(lam, k, l)
                 assert abs(got - want) < 1e-12
 
@@ -267,6 +271,25 @@ class TestMatrixElement:
         for t in [(0, 0), (1, 1), (2, 0), (3, 2), (1, 2)]:
             for s in [(0, 0), (2, 0), (2, 2), (1, 1)]:
                 assert abs(matrix_element(a, lam, t, s) - rho.element(t, s)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_series_oracle(self, rng, n):
+        a = random_symmetric(rng, n, 0.12)
+        lam = random_psd(rng, n, 0.3)  # hermitian with complex off-diagonal entries
+        q = np.block([[a, 0.5 * lam], [0.5 * lam.T, a.conj()]])
+        c = c_factor(a, lam)
+        for _ in range(12):
+            t = tuple(int(x) for x in rng.multinomial(rng.integers(0, 4), [1 / n] * n))
+            s = tuple(int(x) for x in rng.multinomial(rng.integers(0, 4), [1 / n] * n))
+            want = c * series_coefficient(q, None, t + s)
+            assert abs(matrix_element(a, lam, t, s) - want) < 1e-13
+
+    def test_six_modes_matches_window(self, rng):
+        p = random_state(rng, 6, with_mean=False)
+        rho = dmf(p.a, p.lam, 4)
+        t, s = (1, 0, 2, 0, 1, 0), (0, 1, 1, 0, 0, 2)
+        assert abs(rho.element(t, s)) > 1e-8
+        assert abs(matrix_element(p.a, p.lam, t, s) - rho.element(t, s)) < 1e-12
 
     def test_mixing_kernel_identity(self, rng):
         for n in (1, 2):

@@ -8,8 +8,9 @@ brute-force reference:
 - params e2<->cov conversions  <- tr(rho W(z)) from truncated operators (test_params)
 - fock.phi / enumerate_delta   <- series_coefficient (test_fock, acceptance 3)
 - fock.e_a_matrix              <- truncated_exp_annihilation (test_fock)
-- fock.gamma_lambda_entry      <- gamma_entry_enumerated (test_fock)
-- fock.dmf / matrix_element    <- z1_matrix product, general_truncate, mixing kernel
+- fock.gamma_matrix            <- gamma_entry_enumerated (test_fock)
+- fock.dmf                     <- z1_matrix product, general_truncate, mixing kernel
+- fock.matrix_element          <- series_coefficient on the 2n-variable form, dmf window
 - fock.pure_state_vector       <- kb_resolution_check norm, closed-form families
 - states.marginal              <- partial_trace / partial_trace_vector_outer, marginal_via_e2
 - semigroup.compose            <- truncated matrix products + quadrature_gaussian
