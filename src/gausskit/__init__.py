@@ -8,7 +8,7 @@ module holds brute-force references for the test suite and is not part of
 the public surface.
 """
 
-from .config import Config, DEFAULT_CUTOFF, DEFAULT_SEED, DEFAULT_TOL
+from .config import DEFAULT_CUTOFF, DEFAULT_SEED, DEFAULT_TOL
 from .core import (
     SymplecticMap,
     c_factor,

@@ -1,21 +1,24 @@
 """Command-line front end.
 
-Subcommands map 1:1 onto library operations; state files are the JSON
-schemas from the params module, `-` means stdin, and outputs are
-deterministic for fixed inputs and seed.  Exit codes: 0 success, 1 usage
-or input error, 2 validation failure.
+Subcommands map 1:1 onto library operations and each takes only the flags
+its handler reads.  State files are the JSON schemas from the params
+module, `-` means stdin, and outputs are deterministic for fixed inputs
+and seed.  Flags are checked while parsing and each input file by one
+loader, so every failure is one `error:` line on stderr.  Exit codes:
+0 success, 1 usage or input error, 2 validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import io
-from .config import Config
+from .config import DEFAULT_CUTOFF, DEFAULT_SEED, DEFAULT_TOL
 from .core import is_positive_definite, m_matrix
 from .errors import GausskitError
 from .fock import dmf, general_truncate, pure_state_vector
@@ -33,22 +36,61 @@ _USAGE_EXIT = 1
 _INVALID_EXIT = 2
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so `main` reports them as one `error:` line."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
-def _load_json(path: str) -> dict:
-    text = _read_text(path)
+def _flag_type(convert, expected: str, ok=lambda value: True):
+    """An argparse `type=`: `convert` the text and require `ok` of the result."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
+
+
+def _parse_json(text: str, where: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed JSON in {path!r}: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"malformed JSON in {where}: {exc}") from exc
 
 
-def _load_state_dict(path: str):
+def _points(text: str) -> np.ndarray:
+    zdata = _parse_json(text, "--z")
+    if not isinstance(zdata, list):
+        raise ValueError("not a list")
+    return io.cvec_from_json(zdata if zdata and isinstance(zdata[0], list) else [zdata], "z")
+
+
+_cutoff = _flag_type(int, "an integer >= 0", lambda v: v >= 0)
+_tol = _flag_type(float, "a finite number > 0", lambda v: math.isfinite(v) and v > 0)
+_shots = _flag_type(int, "an integer >= 1", lambda v: v >= 1)
+_modes = _flag_type(lambda t: [int(x) for x in t.split(",") if x.strip()],
+                    "a comma-separated mode list")
+_z = _flag_type(_points, "a JSON list of [re, im] pairs")
+
+
+def _load_json(path: str):
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    return _parse_json(text, repr(path))
+
+
+def _load_params(path: str) -> E2Params | CovarianceParams:
+    """The parameters in a state file, checked for form but not for validity."""
     data = _load_json(path)
     if not isinstance(data, dict):
         raise ValueError("state file must hold a JSON object")
@@ -59,10 +101,42 @@ def _load_state_dict(path: str):
     raise ValueError("field 'c' or 'S'/'m': state file is neither E2 nor covariance form")
 
 
-def _as_state(params, tol: float) -> GaussianState:
+def _load_state(args) -> GaussianState:
+    params = _load_params(args.state)
     if isinstance(params, CovarianceParams):
-        return GaussianState.from_cov(params, tol)
-    return GaussianState(params, tol)
+        return GaussianState.from_cov(params, args.tol)
+    return GaussianState(params, args.tol)
+
+
+def _numbers(values, field: str, i: int) -> np.ndarray:
+    if not isinstance(values, list) or any(
+            isinstance(x, bool) or not isinstance(x, (int, float)) for x in values):
+        raise ValueError(f"field {field!r}: measurement {i} must hold JSON numbers")
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"field {field!r}: measurement {i} holds a number beyond "
+                         "double range") from exc
+
+
+def _load_counts(path: str) -> tuple[list, list[dict]]:
+    """A counts file's measurement list as read, and its runs for `estimate`.
+
+    Checks the JSON structure only; `estimate` checks the numbers.
+    """
+    data = _load_json(path)
+    if not isinstance(data, dict) or not isinstance(data.get("measurements"), list):
+        raise ValueError("field 'measurements': counts file needs a list of measurements")
+    runs = []
+    for i, m in enumerate(data["measurements"]):
+        if not isinstance(m, dict) or not isinstance(m.get("spec"), dict):
+            raise ValueError(f"field 'spec': measurement {i} needs a spec object")
+        counts = _numbers(m.get("counts"), "counts", i)
+        shots = m.get("shots", sum(m["counts"]))
+        _numbers([shots], "shots", i)
+        runs.append({"spec": MeasurementSpec.from_json_dict(m["spec"]),
+                     "counts": counts, "shots": shots})
+    return data["measurements"], runs
 
 
 def _emit(text: str) -> None:
@@ -71,121 +145,88 @@ def _emit(text: str) -> None:
         sys.stdout.write("\n")
 
 
-def _cmd_convert(args, cfg: Config) -> int:
-    params = _load_state_dict(args.state)
+def _emit_window(carrier, fmt: str) -> None:
+    _emit(carrier.to_csv() if fmt == "csv" else io.dumps(carrier.to_json_dict()))
+
+
+def _cmd_convert(args) -> int:
+    params = _load_params(args.state)
     if isinstance(params, CovarianceParams):
-        _emit(io.dumps(cov_to_e2(params, cfg.tol).to_json_dict()))
+        _emit(io.dumps(cov_to_e2(params, args.tol).to_json_dict()))
     else:
-        _emit(io.dumps(_as_state(params, cfg.tol).cov.to_json_dict()))
+        _emit(io.dumps(GaussianState(params, args.tol).cov.to_json_dict()))
     return 0
 
 
-def _cmd_validate(args, cfg: Config) -> int:
-    params = _load_state_dict(args.state)
+def _cmd_validate(args) -> int:
+    params = _load_params(args.state)
     if isinstance(params, CovarianceParams):
-        valid = params.is_valid(cfg.tol)
-        report = {"valid": bool(valid), "form": "covariance"}
-        if not valid:
-            _emit(io.dumps(report))
+        if not params.is_valid(args.tol):
+            _emit(io.dumps({"valid": False, "form": "covariance"}))
             return _INVALID_EXIT
-        params = cov_to_e2(params, cfg.tol)
-    m = m_matrix(params.a, params.lam, cfg.tol)
+        params = cov_to_e2(params, args.tol)
+    m = m_matrix(params.a, params.lam, args.tol)
     min_eig = float(np.linalg.eigvalsh(m)[0])
-    valid = is_positive_definite(m, cfg.tol) and is_normalized(params, cfg.tol)
+    valid = is_positive_definite(m, args.tol) and is_normalized(params, args.tol)
     _emit(io.dumps({"valid": bool(valid), "min_eig_M": min_eig}))
     return 0 if valid else _INVALID_EXIT
 
 
-def _window(args, cfg: Config):
-    params = _load_state_dict(args.state)
-    state = _as_state(params, cfg.tol)
-    p = state.params
+def _cmd_dmf(args) -> int:
+    p = _load_state(args).params
     if np.any(p.mu):
-        return general_truncate(p.as_general(), cfg.cutoff)
-    return dmf(p.a, p.lam, cfg.cutoff, cfg.tol)
-
-
-def _cmd_dmf(args, cfg: Config) -> int:
-    op = _window(args, cfg)
-    _emit(op.to_csv() if cfg.fmt == "csv" else io.dumps(op.to_json_dict()))
+        op = general_truncate(p.as_general(), args.cutoff)
+    else:
+        op = dmf(p.a, p.lam, args.cutoff, args.tol)
+    _emit_window(op, args.fmt)
     return 0
 
 
-def _cmd_statevec(args, cfg: Config) -> int:
-    params = _load_state_dict(args.state)
-    state = _as_state(params, cfg.tol)
+def _cmd_statevec(args) -> int:
+    state = _load_state(args)
     if not state.is_pure():
         raise GausskitError("statevec requires a pure state (Lambda = 0)")
-    vec = pure_state_vector(state.params.a, cfg.cutoff, cfg.tol)
-    _emit(vec.to_csv() if cfg.fmt == "csv" else io.dumps(vec.to_json_dict()))
+    _emit_window(pure_state_vector(state.params.a, args.cutoff, args.tol), args.fmt)
     return 0
 
 
-def _parse_split(raw: str) -> list[int]:
-    try:
-        modes = [int(x) for x in raw.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise ValueError("--split expects a comma-separated mode list") from exc
-    return modes
-
-
-def _cmd_marginal(args, cfg: Config) -> int:
-    params = _load_state_dict(args.state)
-    state = _as_state(params, cfg.tol)
-    if args.split is None:
-        raise ValueError("marginal requires --split")
-    modes = _parse_split(args.split)
-    sub = marginal(state, modes)
+def _cmd_marginal(args) -> int:
+    sub = marginal(_load_state(args), args.split)
     _emit(io.dumps(sub.params.to_json_dict()))
     return 0
 
 
-def _cmd_entanglement(args, cfg: Config) -> int:
-    params = _load_state_dict(args.state)
-    state = _as_state(params, cfg.tol)
-    if args.split is not None:
-        modes = _parse_split(args.split)
-        right = [m for m in range(state.n) if m not in modes]
-        label = ",".join(map(str, modes)) + "|" + ",".join(map(str, right))
-        sep = is_pure_separable(state, modes, cfg.tol)
-        off = float(np.linalg.norm(state.params.a[np.ix_(modes, right)]))
-        _emit(io.dumps({label: {"separable": bool(sep), "offdiag_norm": off}}))
-    else:
-        report = entanglement_report(state, cfg.tol)
-        _emit(io.dumps(report))
+def _cmd_entanglement(args) -> int:
+    state = _load_state(args)
+    if args.split is None:
+        _emit(io.dumps(entanglement_report(state, args.tol)))
+        return 0
+    modes = args.split
+    right = [m for m in range(state.n) if m not in modes]
+    label = ",".join(map(str, modes)) + "|" + ",".join(map(str, right))
+    sep = is_pure_separable(state, modes, args.tol)
+    off = float(np.linalg.norm(state.params.a[np.ix_(modes, right)]))
+    _emit(io.dumps({label: {"separable": bool(sep), "offdiag_norm": off}}))
     return 0
 
 
-def _cmd_charfn(args, cfg: Config) -> int:
-    params = _load_state_dict(args.state)
-    state = _as_state(params, cfg.tol)
-    if args.z is None:
-        raise ValueError("charfn requires --z with a JSON list of [re, im] pairs")
-    try:
-        zdata = json.loads(args.z)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed JSON in --z: {exc}") from exc
-    if not isinstance(zdata, list):
-        raise ValueError("--z: expected a JSON list of [re, im] pairs")
-    pts = io.cvec_from_json(zdata, "z") if zdata and isinstance(zdata[0], list) \
-        else io.cvec_from_json([zdata], "z")
-    if pts.shape[0] % state.n:
+def _cmd_charfn(args) -> int:
+    state = _load_state(args)
+    if args.z.shape[0] % state.n:
         raise ValueError("--z length must be a multiple of the mode count")
-    values = []
-    for row in pts.reshape(-1, state.n):
-        values.append(io.complex_pair(characteristic_function(state, row)))
+    values = [io.complex_pair(characteristic_function(state, row))
+              for row in args.z.reshape(-1, state.n)]
     _emit(io.dumps({"values": values}))
     return 0
 
 
-def _cmd_tomo_simulate(args, cfg: Config) -> int:
-    params = _load_state_dict(args.state)
-    state = _as_state(params, cfg.tol)
-    runs = simulate_battery(state, args.shots, cfg.seed)
+def _cmd_tomo_simulate(args) -> int:
+    state = _load_state(args)
+    runs = simulate_battery(state, args.shots, args.seed)
     out = {
         "n": state.n,
-        "shots": int(args.shots),
-        "seed": int(cfg.seed),
+        "shots": args.shots,
+        "seed": args.seed,
         "measurements": [
             {"spec": r["spec"].to_json_dict(), "counts": [int(x) for x in r["counts"]],
              "shots": r["shots"]}
@@ -196,90 +237,75 @@ def _cmd_tomo_simulate(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_tomo_estimate(args, cfg: Config) -> int:
-    data = _load_json(args.counts)
-    if not isinstance(data, dict) or not isinstance(data.get("measurements"), list):
-        raise ValueError("field 'measurements': counts file needs a list of measurements")
-    runs = []
-    for i, m in enumerate(data["measurements"]):
-        if not isinstance(m, dict) or not isinstance(m.get("spec"), dict):
-            raise ValueError(f"field 'spec': measurement {i} needs a spec object")
-        if not isinstance(m.get("counts"), list):
-            raise ValueError(f"field 'counts': measurement {i} needs a list of counts")
-        spec = MeasurementSpec.from_json_dict(m["spec"])
-        runs.append({"spec": spec, "counts": np.asarray(m["counts"], dtype=float),
-                     "shots": m.get("shots", sum(m["counts"]))})
-    report = estimate(runs)
-    out = report.to_json_dict()
-    out["measurements"] = data["measurements"]
+def _cmd_tomo_estimate(args) -> int:
+    measurements, runs = _load_counts(args.counts)
+    out = estimate(runs).to_json_dict()
+    out["measurements"] = measurements
     _emit(io.dumps(out))
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gausskit",
-                                     description="Gaussian-state toolkit")
+    parser = _Parser(prog="gausskit", description="Gaussian-state toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, state=True):
-        if state:
-            p.add_argument("--state", required=True, help="state JSON file, or - for stdin")
-        p.add_argument("--cutoff", type=int, default=Config.cutoff)
-        p.add_argument("--tol", type=float, default=Config.tol)
-        p.add_argument("--seed", type=int, default=Config.seed)
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    def reads_state(p):
+        p.add_argument("--state", required=True, help="state JSON file, or - for stdin")
+        p.add_argument("--tol", type=_tol, default=DEFAULT_TOL,
+                       help="relative positivity tolerance")
+        return p
+
+    def window(p):
+        reads_state(p)
+        p.add_argument("--cutoff", type=_cutoff, default=DEFAULT_CUTOFF,
+                       help="total particle-number truncation")
         p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
-    common(sub.add_parser("convert", help="E2 <-> covariance parameter conversion"))
-    common(sub.add_parser("validate", help="validity / uncertainty check"))
-    common(sub.add_parser("dmf", help="truncated density matrix"))
-    common(sub.add_parser("statevec", help="truncated pure-state vector"))
-    p = sub.add_parser("marginal", help="reduced state on a mode subset")
-    common(p)
-    p.add_argument("--split", help="comma-separated kept modes, 0-based")
-    p = sub.add_parser("entanglement", help="pure-state separability report")
-    common(p)
-    p.add_argument("--split", help="comma-separated left modes, 0-based")
-    p = sub.add_parser("charfn", help="quantum characteristic function values")
-    common(p)
-    p.add_argument("--z", help="JSON [re, im] pair list (length = modes per point)")
-    p = sub.add_parser("tomo-simulate", help="sample the full measurement battery")
-    common(p)
-    p.add_argument("--shots", type=int, required=True)
-    p = sub.add_parser("tomo-estimate", help="estimate parameters from counts")
+    reads_state(command("convert", _cmd_convert, "E2 <-> covariance parameter conversion"))
+    reads_state(command("validate", _cmd_validate, "validity / uncertainty check"))
+    window(command("dmf", _cmd_dmf, "truncated density matrix"))
+    window(command("statevec", _cmd_statevec, "truncated pure-state vector"))
+    p = reads_state(command("marginal", _cmd_marginal, "reduced state on a mode subset"))
+    p.add_argument("--split", type=_modes, required=True,
+                   help="comma-separated kept modes, 0-based")
+    p = reads_state(command("entanglement", _cmd_entanglement,
+                            "pure-state separability report"))
+    p.add_argument("--split", type=_modes, help="comma-separated left modes, 0-based")
+    p = reads_state(command("charfn", _cmd_charfn, "quantum characteristic function values"))
+    p.add_argument("--z", type=_z, required=True,
+                   help="JSON [re, im] pair list (length = modes per point)")
+    p = reads_state(command("tomo-simulate", _cmd_tomo_simulate,
+                            "sample the full measurement battery"))
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="64-bit sampling seed")
+    p.add_argument("--shots", type=_shots, required=True)
+    p = command("tomo-estimate", _cmd_tomo_estimate, "estimate parameters from counts")
     p.add_argument("--counts", default="-", help="simulation JSON, or - for stdin")
-    common(p, state=False)
     return parser
 
 
-_HANDLERS = {
-    "convert": _cmd_convert,
-    "validate": _cmd_validate,
-    "dmf": _cmd_dmf,
-    "statevec": _cmd_statevec,
-    "marginal": _cmd_marginal,
-    "entanglement": _cmd_entanglement,
-    "charfn": _cmd_charfn,
-    "tomo-simulate": _cmd_tomo_simulate,
-    "tomo-estimate": _cmd_tomo_estimate,
-}
+def _fail(exc: Exception, code: int) -> int:
+    print("error:", " ".join(str(exc).split()), file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return _USAGE_EXIT if exc.code not in (0, None) else 0
-    try:
-        cfg = Config(cutoff=args.cutoff, tol=args.tol, seed=args.seed,
-                     fmt=getattr(args, "fmt", "json"))
-        return _HANDLERS[args.command](args, cfg)
+        args = build_parser().parse_args(argv)
+        # floating-point warnings would be extra stderr lines; a non-finite
+        # result fails validation or io.dumps instead
+        with np.errstate(all="ignore"):
+            return args.handler(args)
+    except SystemExit:  # --help, after printing the usage
+        return 0
     except GausskitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _INVALID_EXIT
+        return _fail(exc, _INVALID_EXIT)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
+        return _fail(exc, _USAGE_EXIT)
 
 
 if __name__ == "__main__":

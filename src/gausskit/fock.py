@@ -11,6 +11,7 @@ window (no truncation error inside the window).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import product
 
@@ -27,6 +28,7 @@ __all__ = [
     "multi_binomial",
     "basis_indices",
     "basis_index_map",
+    "check_window",
     "enumerate_delta",
     "phi",
     "gamma_matrix",
@@ -81,6 +83,43 @@ def basis_indices(n: int, cutoff: int) -> list[tuple]:
     for deg in range(cutoff + 1):
         out.extend(_degree_indices(n, deg))
     return out
+
+
+_MAX_CUTOFF = 170  # 171! overflows a double, and the window scales rows by sqrt(t!)
+_LIVE_MATRICES = 4  # dim x dim complex arrays a window build holds at once
+
+
+def _physical_memory() -> int | None:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def check_window(n: int, cutoff: int, square: bool = True) -> None:
+    """Refuse a window that cannot be built, before anything is enumerated.
+
+    dim = C(n + cutoff, n) is known up front.  Refused with a ValueError:
+    cutoff above 170, where the factorials overflow, and a window whose
+    dense arrays (dim x dim when `square`, else dim) would not fit in this
+    machine's physical memory.
+    """
+    if cutoff > _MAX_CUTOFF:
+        raise ValueError(f"cutoff {cutoff} is above {_MAX_CUTOFF}: "
+                         "the window's factorials overflow double precision")
+    if n < 1 or cutoff < 0:
+        raise ValueError("need n >= 1 and cutoff >= 0")
+    dim = math.comb(n + cutoff, n)
+    memory = _physical_memory()
+    if memory is not None and 16 * dim * (_LIVE_MATRICES * dim if square else 1) > memory:
+        raise ValueError(f"window of {n} modes at cutoff {cutoff} has dimension {dim}: its "
+                         f"dense arrays would not fit in this machine's "
+                         f"{memory / 2**30:.4g} GiB of memory")
+
+
+def _window_basis(n: int, cutoff: int, square: bool = True) -> list[tuple]:
+    check_window(n, cutoff, square)
+    return basis_indices(n, cutoff)
 
 
 def basis_index_map(basis: list[tuple]) -> dict[tuple, int]:
@@ -210,7 +249,7 @@ def gamma_matrix(lam, cutoff: int, basis: list[tuple] | None = None) -> np.ndarr
     """Block-diagonal matrix of Gamma(Lambda) on the truncated window."""
     lam = np.atleast_2d(np.asarray(lam, dtype=complex))
     n = lam.shape[0]
-    basis = basis if basis is not None else basis_indices(n, cutoff)
+    basis = basis if basis is not None else _window_basis(n, cutoff)
     dim = len(basis)
     out = np.zeros((dim, dim), dtype=complex)
     out[0, 0] = 1.0
@@ -399,7 +438,7 @@ def e_a_matrix(a, cutoff: int) -> TruncatedOperator:
     if np.abs(a - a.T).max() > 1e-12 * (1.0 + np.abs(a).max()):
         raise ValueError("A must be symmetric")
     n = a.shape[0]
-    basis = basis_indices(n, cutoff)
+    basis = _window_basis(n, cutoff)
     zero = np.zeros(n, dtype=complex)
     mat = _creation_matrix(a, zero, basis)
     return TruncatedOperator(n, cutoff, tuple(basis), mat)
@@ -415,7 +454,7 @@ def dmf(a, lam, cutoff: int, tol: float = DEFAULT_TOL) -> TruncatedOperator:
     if not is_valid_state(a, lam, tol):
         raise InvalidStateError("(A, Lambda) is not a valid Gaussian state")
     n = a.shape[0]
-    basis = basis_indices(n, cutoff)
+    basis = _window_basis(n, cutoff)
     e_a = _creation_matrix(a, np.zeros(n, dtype=complex), basis)
     gam = gamma_matrix(lam, cutoff, basis)
     rho = c_factor(a, lam, tol) * (e_a @ gam @ e_a.conj().T)
@@ -445,7 +484,7 @@ def pure_state_vector(a, cutoff: int, tol: float = DEFAULT_TOL) -> TruncatedVect
     if np.linalg.norm(a, 2) >= 0.5:
         raise InvalidStateError("2A must be a strict contraction for a pure state")
     n = a.shape[0]
-    basis = basis_indices(n, cutoff)
+    basis = _window_basis(n, cutoff, square=False)
     table = _phi_table(a)
     root_c = math.sqrt(c_factor(a, np.zeros((n, n)), tol))
     entries = np.array([root_c * table(t) for t in basis], dtype=complex)
@@ -459,7 +498,7 @@ def z1_matrix(p: E2Params, cutoff: int, tol: float = DEFAULT_TOL) -> TruncatedOp
     exactly on the window.
     """
     n = p.n
-    basis = basis_indices(n, cutoff)
+    basis = _window_basis(n, cutoff)
     root_lam = psd_sqrt(p.lam, tol)
     gam = gamma_matrix(root_lam, cutoff, basis)
     # annihilation side: <m| exp(...) |t> = sqrt(t!/m!) f_{conj(A), conj(mu)}(t - m)
@@ -477,7 +516,7 @@ def general_truncate(p: GeneralE2Params, cutoff: int) -> TruncatedOperator:
     particle number.
     """
     n = p.n
-    basis = basis_indices(n, cutoff)
+    basis = _window_basis(n, cutoff)
     left = _creation_matrix(p.a, p.alpha, basis)
     right = _creation_matrix(p.b, p.beta, basis)
     gam = gamma_matrix(p.lam, cutoff, basis)

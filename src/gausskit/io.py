@@ -9,6 +9,7 @@ digits, which round-trips IEEE doubles exactly.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -31,36 +32,40 @@ def rmat_to_json(m: np.ndarray) -> list:
     return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
 
 
-def _finite(arr: np.ndarray, field: str) -> np.ndarray:
+def _from_json(build, field: str, expected: str) -> np.ndarray:
+    """Array from untrusted JSON data; a fault of type, shape or range names `field`."""
+    try:
+        arr = build()
+    except OverflowError as exc:
+        raise ValueError(f"field {field!r}: entries must be finite numbers") from exc
+    except (TypeError, IndexError, KeyError, ValueError) as exc:
+        raise ValueError(f"field {field!r}: expected {expected}") from exc
     if not np.isfinite(arr).all():
         raise ValueError(f"field {field!r}: entries must be finite numbers")
     return arr
 
 
+def int_from_json(value, field: str) -> int:
+    """An integer-valued JSON number (2 and 2.0 alike); anything else names `field`."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"field {field!r}: expected an integer")
+    return int(value)
+
+
 def cvec_from_json(data, field: str = "vector") -> np.ndarray:
-    try:
-        arr = np.array([complex(p[0], p[1]) for p in data], dtype=complex)
-    except (TypeError, IndexError) as exc:
-        raise ValueError(f"field {field!r}: expected a list of [re, im] pairs") from exc
-    return _finite(arr, field)
+    return _from_json(lambda: np.array([complex(p[0], p[1]) for p in data], dtype=complex),
+                      field, "a list of [re, im] pairs")
 
 
 def cmat_from_json(data, field: str = "matrix") -> np.ndarray:
-    try:
-        arr = np.array(
-            [[complex(p[0], p[1]) for p in row] for row in data], dtype=complex
-        )
-    except (TypeError, IndexError) as exc:
-        raise ValueError(f"field {field!r}: expected nested lists of [re, im] pairs") from exc
-    return _finite(arr, field)
+    return _from_json(
+        lambda: np.array([[complex(p[0], p[1]) for p in row] for row in data], dtype=complex),
+        field, "nested lists of [re, im] pairs")
 
 
 def rmat_from_json(data, field: str = "matrix") -> np.ndarray:
-    try:
-        arr = np.array(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"field {field!r}: expected nested lists of reals") from exc
-    return _finite(arr, field)
+    return _from_json(lambda: np.array(data, dtype=float), field, "nested lists of reals")
 
 
 def _render(obj: Any, out: list[str]) -> None:
@@ -70,7 +75,9 @@ def _render(obj: Any, out: list[str]) -> None:
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         x = float(obj)
-        out.append(format(x, ".17g") if np.isfinite(x) else json.dumps(x))
+        if not math.isfinite(x):
+            raise ValueError(f"cannot write {x!r} as JSON: the output holds a non-finite number")
+        out.append(format(x, ".17g"))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):
@@ -94,7 +101,10 @@ def _render(obj: Any, out: list[str]) -> None:
 
 
 def dumps(obj: Any) -> str:
-    """Deterministic JSON text with 17-significant-digit floats."""
+    """Deterministic JSON text with 17-significant-digit floats.
+
+    Raises ValueError on NaN or an infinity, which RFC 8259 JSON cannot hold.
+    """
     out: list[str] = []
     _render(obj, out)
     return "".join(out)

@@ -112,13 +112,10 @@ class E2Params:
         for key in ("n", "c", "mu", "A", "Lambda"):
             if key not in data:
                 raise ValueError(f"field {key!r}: missing from E2 state file")
-        try:
-            n = int(data["n"])
-        except (TypeError, ValueError) as exc:
-            raise ValueError("field 'n': expected an integer") from exc
+        n = io.int_from_json(data["n"], "n")
         try:
             c = complex(data["c"][0], data["c"][1])
-        except (TypeError, IndexError, KeyError) as exc:
+        except (TypeError, IndexError, KeyError, OverflowError) as exc:
             raise ValueError("field 'c': expected an [re, im] pair") from exc
         if abs(c.imag) > 1e-12 * (1.0 + abs(c.real)):
             raise ValueError("field 'c': must be real for a positive operator")

@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import io
 from .errors import EstimationError
-from .fock import general_truncate
+from .fock import check_window, general_truncate
 from .params import GeneralE2Params
 from .states import GaussianState
 
@@ -112,11 +113,11 @@ class MeasurementSpec:
 
     @staticmethod
     def from_json_dict(data: dict) -> "MeasurementSpec":
-        try:
-            return make_spec(data["kind"], int(data["n"]),
-                             data.get("j"), data.get("k"))
-        except KeyError as exc:
-            raise ValueError(f"field {exc.args[0]!r}: missing from measurement spec") from exc
+        for key in ("kind", "n"):
+            if key not in data:
+                raise ValueError(f"field {key!r}: missing from measurement spec")
+        ints = {key: io.int_from_json(data[key], key) for key in ("n", "j", "k") if key in data}
+        return make_spec(data["kind"], ints["n"], ints.get("j"), ints.get("k"))
 
 
 def _vn_vectors(n: int) -> tuple:
@@ -131,6 +132,7 @@ def _vn_vectors(n: int) -> tuple:
 
 def make_spec(kind: str, n: int, j: int | None = None, k: int | None = None) -> MeasurementSpec:
     """Construct a measurement of a given kind; indices are 1-based."""
+    check_window(n, 2)  # every projector vector lives in the cutoff-2 window
     if j is not None:
         j = int(j)
     if k is not None:
@@ -304,12 +306,23 @@ def estimate(measurements: list[dict]) -> EstimationReport:
     """
     by_name: dict[str, dict] = {}
     for m in measurements:
-        if not float(m["shots"]) > 0:
-            raise ValueError(f"measurement {m['spec'].name}: shots must be > 0")
-        by_name[m["spec"].name] = m
+        spec = m["spec"]
+        counts = np.asarray(m["counts"], dtype=float)
+        shots = float(m["shots"])
+        if not (math.isfinite(shots) and shots > 0):
+            raise ValueError(f"measurement {spec.name}: shots must be finite and > 0")
+        if counts.shape != (spec.outcomes,):
+            raise ValueError(f"measurement {spec.name}: {counts.size} counts "
+                             f"for {spec.outcomes} outcomes")
+        if not (np.isfinite(counts).all() and (counts >= 0).all()):
+            raise ValueError(f"measurement {spec.name}: counts must be finite and >= 0")
+        by_name[spec.name] = m
     if "M0" not in by_name or "VN" not in by_name:
         raise ValueError("measurement battery must include M0 and VN")
     n = by_name["M0"]["spec"].n
+    for name, m in by_name.items():
+        if m["spec"].n != n:
+            raise ValueError(f"measurement {name}: n = {m['spec'].n}, but M0 has n = {n}")
     for j in range(1, n + 1):
         for name in (f"Mj0({j})", f"Mj0'({j})"):
             if name not in by_name:

@@ -1,14 +1,16 @@
+import argparse
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from gausskit import io
-from gausskit.cli import main
+from gausskit.cli import build_parser, main
 from gausskit.params import E2Params, e2_to_cov, state_params
-from gausskit.states import smsv, tmsv
+from gausskit.states import smsv, tmsv, vacuum
 
 
 @pytest.fixture
@@ -233,7 +235,7 @@ class TestBoundary:
 
     @pytest.mark.parametrize("command", ["convert", "validate", "dmf", "marginal",
                                          "entanglement", "tomo-simulate"])
-    @pytest.mark.parametrize("field, value", [("n", None), ("c", 1.0)])
+    @pytest.mark.parametrize("field, value", [("n", None), ("c", 1.0), ("n", 1.7)])
     def test_malformed_e2_scalars_named(self, capsys, tmp_path, command, field, value):
         data = tmsv(0.35).params.to_json_dict()
         data[field] = value
@@ -260,6 +262,106 @@ class TestBoundary:
     def test_charfn_scalar_z(self, capsys, smsv_file):
         err = assert_one_line_error(capsys, "charfn", "--state", smsv_file, "--z", "5")
         assert "--z" in err
+
+    @pytest.mark.parametrize("index, field, value, named", [
+        (0, "counts", [None, 2], "'counts'"),
+        (0, "shots", None, "'shots'"),
+        (-1, "counts", [1, 2], "VN"),
+        (1, "counts", [-50, 150], "Mj0(1)"),
+        (0, "counts", "1e400", "M0")])
+    def test_bad_counts_named(self, capsys, tmp_path, smsv_file, index, field, value, named):
+        code, sim_text = run_cli(capsys, "tomo-simulate", "--state", smsv_file,
+                                 "--shots", "100")
+        assert code == 0
+        sim = json.loads(sim_text)
+        sim["measurements"][index][field] = value
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(sim).replace('"1e400"', "[1e400, 2]"))
+        err = assert_one_line_error(capsys, "tomo-estimate", "--counts", str(path))
+        assert named in err
+
+    def test_null_spec_n_named(self, capsys, tmp_path):
+        path = tmp_path / "counts.json"
+        path.write_text('{"measurements": [{"spec": {"kind": "M0", "n": null}, '
+                        '"counts": [3, 7], "shots": 10}]}')
+        err = assert_one_line_error(capsys, "tomo-estimate", "--counts", str(path))
+        assert "'n'" in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["dmf", "--cutoff", "abc"], "--cutoff"),
+        (["dmf", "--tol", "inf"], "--tol"),
+        (["validate", "--seed", "1"], "--seed"),
+        (["validate", "--format", "csv"], "--format"),
+        (["tomo-simulate", "--shots", "100", "--cutoff", "3"], "--cutoff"),
+        (["dmf", "--cutoff", "171"], "171"),
+        ([], "command")])
+    def test_usage_errors_one_line(self, capsys, smsv_file, argv, named):
+        state = ["--state", smsv_file] if argv else []
+        err = assert_one_line_error(capsys, *argv, *state)
+        assert named in err
+
+    def test_missing_state_one_line(self, capsys):
+        err = assert_one_line_error(capsys, "dmf", "--cutoff", "3")
+        assert "--state" in err
+
+    def test_window_beyond_memory_one_line(self, capsys, tmp_path):
+        path = tmp_path / "vacuum6.json"
+        path.write_text(io.dumps(vacuum(6).params.to_json_dict()))
+        err = assert_one_line_error(capsys, "dmf", "--state", str(path), "--cutoff", "40")
+        assert "dimension 9366819" in err
+
+    def test_non_finite_output_refused(self, capsys, monkeypatch, smsv_file):
+        monkeypatch.setattr("gausskit.cli.characteristic_function",
+                            lambda state, z: complex(math.nan, 0.0))
+        err = assert_one_line_error(capsys, "charfn", "--state", smsv_file,
+                                    "--z", "[[0.1, 0.2]]")
+        assert "non-finite" in err
+
+    @pytest.mark.parametrize("command, extra", [("convert", []),
+                                                ("charfn", ["--z", "[[1e300, 1e300], [0, 0]]"])])
+    def test_no_float_warnings(self, capsys, tmp_path, command, extra):
+        # a numpy warning would be an extra stderr line
+        data = e2_to_cov(tmsv(0.35).params).to_json_dict()
+        data["m"][0][0] = 1e300 if command == "convert" else 0.0
+        path = tmp_path / "cov.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--state", str(path), *extra])
+        assert code in (0, 1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    def test_dumps_refuses_non_finite(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            io.dumps({"values": [[0.5, value]]})
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["dmf", "--help"]) == 0
+        assert "--cutoff" in capsys.readouterr().out
+
+
+class TestFlags:
+    """Each subcommand takes exactly the flags its handler reads."""
+
+    FLAGS = {
+        "convert": {"--state", "--tol"},
+        "validate": {"--state", "--tol"},
+        "dmf": {"--state", "--tol", "--cutoff", "--format"},
+        "statevec": {"--state", "--tol", "--cutoff", "--format"},
+        "marginal": {"--state", "--tol", "--split"},
+        "entanglement": {"--state", "--tol", "--split"},
+        "charfn": {"--state", "--tol", "--z"},
+        "tomo-simulate": {"--state", "--tol", "--seed", "--shots"},
+        "tomo-estimate": {"--counts"},
+    }
+
+    def test_flag_sets(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+               for name, p in sub.choices.items()}
+        assert got == self.FLAGS
+        assert sum(len(f) for f in got.values()) == 26
 
 
 class TestNormalization:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausskit import io
+from gausskit import fock, io
 from gausskit.core import c_factor
 from gausskit.errors import InvalidStateError
 from gausskit.fock import (
@@ -261,6 +261,26 @@ class TestDMF:
     def test_rejects_invalid(self):
         with pytest.raises(InvalidStateError):
             dmf([[0.3]], [[0.5]], 4)
+
+
+class TestPreflight:
+    def test_cutoff_170_is_the_last_served(self):
+        assert np.isfinite(dmf([[0.1]], [[0.2]], 170).entries).all()
+        assert np.isfinite(pure_state_vector([[0.2]], 170).entries).all()
+
+    def test_cutoff_above_170_refused(self):
+        with pytest.raises(ValueError, match="cutoff 171"):
+            dmf([[0.1]], [[0.2]], 171)
+        with pytest.raises(ValueError, match="cutoff 171"):
+            pure_state_vector([[0.2]], 171)
+
+    def test_window_beyond_memory_refused_before_enumeration(self, monkeypatch):
+        monkeypatch.setattr(fock, "basis_indices", lambda *args: pytest.fail("enumerated"))
+        zero = np.zeros((6, 6))
+        with pytest.raises(ValueError, match="dimension 9366819"):
+            dmf(zero, zero, 40)
+        with pytest.raises(ValueError, match="dimension 9366819"):
+            general_truncate(state_params(zero, zero, np.full(6, 0.1)).as_general(), 40)
 
 
 class TestMatrixElement:

@@ -66,6 +66,20 @@ class TestSpecs:
             assert back.name == spec.name
             assert back.vectors == spec.vectors
 
+    @pytest.mark.parametrize("key, value", [("n", None), ("n", "2"), ("n", 1.5), ("n", True),
+                                            ("j", None), ("j", "1"), ("k", [2])])
+    def test_from_json_names_bad_integers(self, key, value):
+        data = {"kind": "Mjk0", "n": 2, "j": 1, "k": 2, key: value}
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            MeasurementSpec.from_json_dict(data)
+
+    def test_from_json_refuses_huge_n(self):
+        with pytest.raises(ValueError, match="cutoff 2"):
+            MeasurementSpec.from_json_dict({"kind": "VN", "n": 1e300})
+
+    def test_from_json_takes_integral_floats(self):
+        assert MeasurementSpec.from_json_dict({"kind": "Mj0", "n": 2.0, "j": 1.0}).name == "Mj0(1)"
+
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError):
             make_spec("Mj0", 2, 3)
@@ -197,6 +211,26 @@ class TestEstimation:
         runs = simulate_battery(st, 1000, seed=0)
         runs[3] = dict(runs[3], shots=0)
         with pytest.raises(ValueError, match=r"Mj0\(2\)"):
+            estimate(runs)
+
+    @pytest.mark.parametrize("index, field, value, match", [
+        (1, "counts", [-50.0, 150.0], "Mj0\\(1\\): counts"),
+        (1, "counts", [math.inf, 2.0], "Mj0\\(1\\): counts"),
+        (0, "counts", [math.nan, 2.0], "M0: counts"),
+        (-1, "counts", [1.0, 2.0], "VN: 2 counts for 7 outcomes"),
+        (2, "shots", math.inf, "Mj0'\\(1\\): shots"),
+        (2, "shots", math.nan, "Mj0'\\(1\\): shots")])
+    def test_bad_numbers_named(self, index, field, value, match):
+        runs = simulate_battery(criterion_state(), 1000, seed=0)
+        runs[index] = dict(runs[index], **{field: value})
+        with pytest.raises(ValueError, match=match):
+            estimate(runs)
+
+    def test_mixed_mode_counts_rejected(self):
+        runs = simulate_battery(criterion_state(), 1000, seed=0)
+        runs[-1] = dict(runs[-1], spec=make_spec("VN", 3),
+                        counts=np.ones(vn_outcome_count(3)))
+        with pytest.raises(ValueError, match="VN: n = 3, but M0 has n = 2"):
             estimate(runs)
 
     def test_missing_measurement_rejected(self):
