@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "multi_binomial",
     "basis_indices",
     "basis_index_map",
+    "check_memory",
     "check_window",
     "enumerate_delta",
     "phi",
@@ -89,11 +91,16 @@ _MAX_CUTOFF = 170  # 171! overflows a double, and the window scales rows by sqrt
 _LIVE_MATRICES = 4  # dim x dim complex arrays a window build holds at once
 
 
-def _physical_memory() -> int | None:
+def check_memory(nbytes: int, what: str) -> None:
+    """Refuse with a ValueError, before allocating, arrays of `nbytes` beyond
+    this machine's physical memory; `what` names them in the message."""
     try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
-        return None
+        return
+    if nbytes > memory:
+        raise ValueError(f"{what} would not fit in this machine's "
+                         f"{memory / 2**30:.4g} GiB of memory")
 
 
 def check_window(n: int, cutoff: int, square: bool = True) -> None:
@@ -101,8 +108,7 @@ def check_window(n: int, cutoff: int, square: bool = True) -> None:
 
     dim = C(n + cutoff, n) is known up front.  Refused with a ValueError:
     cutoff above 170, where the factorials overflow, and a window whose
-    dense arrays (dim x dim when `square`, else dim) would not fit in this
-    machine's physical memory.
+    dense arrays (dim x dim when `square`, else dim) exceed physical memory.
     """
     if cutoff > _MAX_CUTOFF:
         raise ValueError(f"cutoff {cutoff} is above {_MAX_CUTOFF}: "
@@ -110,11 +116,8 @@ def check_window(n: int, cutoff: int, square: bool = True) -> None:
     if n < 1 or cutoff < 0:
         raise ValueError("need n >= 1 and cutoff >= 0")
     dim = math.comb(n + cutoff, n)
-    memory = _physical_memory()
-    if memory is not None and 16 * dim * (_LIVE_MATRICES * dim if square else 1) > memory:
-        raise ValueError(f"window of {n} modes at cutoff {cutoff} has dimension {dim}: its "
-                         f"dense arrays would not fit in this machine's "
-                         f"{memory / 2**30:.4g} GiB of memory")
+    check_memory(16 * dim * (_LIVE_MATRICES * dim if square else 1),
+                 f"window of {n} modes at cutoff {cutoff} has dimension {dim}: its dense arrays")
 
 
 def _window_basis(n: int, cutoff: int, square: bool = True) -> list[tuple]:
@@ -304,25 +307,57 @@ def psd_sqrt(lam, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TruncatedOperator:
-    """Dense matrix over the graded particle basis with |t| <= cutoff."""
+class _Window:
+    """Dense entries with one graded-basis index per axis, |t| <= cutoff.
+
+    JSON holds the entries flat and row-major as [re, im] pairs; CSV has one
+    row per index tuple, with columns t1..tn (and s1..sn for a second axis).
+    """
 
     n: int
     cutoff: int
     basis: tuple
     entries: np.ndarray
-    hermitian: bool | None = None
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def index(self, t) -> int:
-        return basis_index_map(list(self.basis))[tuple(int(x) for x in t)]
+    @cached_property
+    def _index_map(self) -> dict[tuple, int]:
+        return basis_index_map(self.basis)
 
-    def element(self, t, s) -> complex:
-        imap = basis_index_map(list(self.basis))
-        return complex(self.entries[imap[tuple(t)], imap[tuple(s)]])
+    def index(self, t) -> int:
+        return self._index_map[tuple(int(x) for x in t)]
+
+    def element(self, *tuples) -> complex:
+        """The entry at one occupation tuple per axis."""
+        imap = self._index_map
+        return complex(self.entries[tuple(imap[tuple(int(x) for x in t)] for t in tuples)])
+
+    def to_json_dict(self) -> dict:
+        return {"n": self.n, "cutoff": self.cutoff, "basis": [list(t) for t in self.basis],
+                "entries": np.asarray(self.entries, dtype=complex).reshape(-1)}
+
+    def to_csv(self) -> str:
+        axes = self.entries.ndim
+        cols = [f"{side}{j + 1}" for side in "ts"[:axes] for j in range(self.n)]
+        labels = [",".join(map(str, t)) for t in self.basis]
+        re, im = io.complex_texts(self.entries)
+        rows = zip(map(",".join, product(labels, repeat=axes)), re, im)
+        lines = [",".join(cols + ["re", "im"])] + [f"{k},{r},{i}" for k, r, i in rows]
+        return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class TruncatedOperator(_Window):
+    """Dense matrix over the graded particle basis with |t| <= cutoff."""
+
+    hermitian: bool | None = None
+
+    # also this class's own attributes: perfbench/spans.py wraps them in place
+    index, element = _Window.index, _Window.element
+    to_json_dict, to_csv = _Window.to_json_dict, _Window.to_csv
 
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
@@ -331,60 +366,13 @@ class TruncatedOperator:
         return TruncatedOperator(self.n, self.cutoff, self.basis,
                                  self.entries.conj().T.copy(), self.hermitian)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "cutoff": self.cutoff,
-            "basis": [list(t) for t in self.basis],
-            "entries": [io.complex_pair(z) for z in self.entries.reshape(-1)],
-        }
-
-    def to_csv(self) -> str:
-        cols = [f"t{j+1}" for j in range(self.n)] + [f"s{j+1}" for j in range(self.n)]
-        lines = [",".join(cols + ["re", "im"])]
-        for i, t in enumerate(self.basis):
-            for j, s in enumerate(self.basis):
-                z = self.entries[i, j]
-                vals = [str(x) for x in t] + [str(x) for x in s]
-                lines.append(",".join(vals + [format(z.real, ".17g"), format(z.imag, ".17g")]))
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
-class TruncatedVector:
+class TruncatedVector(_Window):
     """Dense vector over the graded particle basis with |t| <= cutoff."""
-
-    n: int
-    cutoff: int
-    basis: tuple
-    entries: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def element(self, t) -> complex:
-        return complex(self.entries[basis_index_map(list(self.basis))[tuple(int(x) for x in t)]])
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.entries))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "cutoff": self.cutoff,
-            "basis": [list(t) for t in self.basis],
-            "entries": [io.complex_pair(z) for z in self.entries],
-        }
-
-    def to_csv(self) -> str:
-        cols = [f"t{j+1}" for j in range(self.n)]
-        lines = [",".join(cols + ["re", "im"])]
-        for i, t in enumerate(self.basis):
-            z = self.entries[i]
-            lines.append(",".join([str(x) for x in t]
-                                  + [format(z.real, ".17g"), format(z.imag, ".17g")]))
-        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

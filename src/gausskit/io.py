@@ -3,7 +3,8 @@
 Complex scalars are [re, im] pairs, complex vectors lists of pairs, and
 complex matrices row-major nested lists of pairs, so the files are
 unambiguous across languages.  Floats are emitted with 17 significant
-digits, which round-trips IEEE doubles exactly.
+digits, which round-trips IEEE doubles exactly; the CSV writers use the
+same number text.
 """
 
 from __future__ import annotations
@@ -13,6 +14,23 @@ import math
 from typing import Any
 
 import numpy as np
+
+
+_number = "{:.17g}".format
+
+
+def _non_finite(value) -> ValueError:
+    return ValueError(f"cannot write {value!r}: the output holds a non-finite number")
+
+
+def complex_texts(values) -> tuple[list[str], list[str]]:
+    """Number texts of the real and of the imaginary parts, flattened row-major;
+    a ValueError on NaN or an infinity, which RFC 8259 JSON cannot hold."""
+    values = np.asarray(values, dtype=complex).reshape(-1)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise _non_finite(complex(values[~finite][0]))
+    return list(map(_number, values.real.tolist())), list(map(_number, values.imag.tolist()))
 
 
 def complex_pair(z) -> list[float]:
@@ -68,43 +86,35 @@ def rmat_from_json(data, field: str = "matrix") -> np.ndarray:
     return _from_json(lambda: np.array(data, dtype=float), field, "nested lists of reals")
 
 
-def _render(obj: Any, out: list[str]) -> None:
-    if obj is None or isinstance(obj, (bool, np.bool_)):
-        out.append(json.dumps(bool(obj)) if obj is not None else "null")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise ValueError(f"cannot write {x!r} as JSON: the output holds a non-finite number")
-        out.append(format(x, ".17g"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(k)))
-            out.append(": ")
-            _render(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        out.append("[")
-        for i, v in enumerate(list(obj)):
-            if i:
-                out.append(", ")
-            _render(v, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def dumps(obj: Any) -> str:
     """Deterministic JSON text with 17-significant-digit floats.
 
+    A complex ndarray is written as `complex_pair`s, nested like the array.
     Raises ValueError on NaN or an infinity, which RFC 8259 JSON cannot hold.
     """
-    out: list[str] = []
-    _render(obj, out)
-    return "".join(out)
+    return _render(obj)
+
+
+def _render(obj: Any) -> str:
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not math.isfinite(x):
+            raise _non_finite(x)
+        return _number(x)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(str(k))}: {_render(v)}" for k, v in obj.items()]
+        return "{" + ", ".join(items) + "}"
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "c":
+        return "[" + ", ".join([f"[{r}, {i}]" for r, i in zip(*complex_texts(obj))]) + "]"
+    if isinstance(obj, (list, tuple, np.ndarray)):  # a complex matrix goes row by row
+        return "[" + ", ".join([_render(v) for v in obj]) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import io
 from .errors import EstimationError
-from .fock import check_window, general_truncate
+from .fock import TruncatedOperator, check_memory, check_window, general_truncate
 from .params import GeneralE2Params
 from .states import GaussianState
 
@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _SQ2 = math.sqrt(2.0)
+_PROB_TOL = 1e-9  # rounding allowed outside [0, 1] in an exact outcome probability
+_SHOT_BYTES = 24  # per-shot sampling arrays: the uniforms, their bins, the clipped bins
 
 
 def _chi(n: int, j: int, k: int | None = None) -> tuple:
@@ -187,56 +189,56 @@ def standard_battery(n: int) -> list[MeasurementSpec]:
     return specs
 
 
-def _bracket(window, imap, zeta_l: dict, zeta_r: dict) -> complex:
+def _bracket(window: TruncatedOperator, zeta_l: dict, zeta_r: dict) -> complex:
     out = 0.0 + 0.0j
     for t, ct in zeta_l.items():
         for s, cs in zeta_r.items():
-            out += np.conj(ct) * window[imap[t], imap[s]] * cs
+            out += np.conj(ct) * window.element(t, s) * cs
     return out
 
 
-def _window(state: GaussianState) -> tuple[np.ndarray, dict]:
-    """The cutoff-2 window matrix and its basis index map.
+def _window(state: GaussianState) -> TruncatedOperator:
+    """The cutoff-2 window.
 
     Every projector vector lives in the <=2-particle subspace, where the
     window is exact, so one window gives exact probabilities for every spec.
     """
-    op = general_truncate(state.params.as_general(), 2)
-    return op.entries, {t: i for i, t in enumerate(op.basis)}
+    return general_truncate(state.params.as_general(), 2)
 
 
-def _spec_probabilities(window, imap, spec: MeasurementSpec,
-                        tol: float = 1e-9) -> np.ndarray:
+def _spec_probabilities(window: TruncatedOperator, spec: MeasurementSpec) -> np.ndarray:
     probs = []
     for zeta in spec.vectors:
-        p = _bracket(window, imap, zeta, zeta).real
-        if p < -tol or p > 1.0 + tol:
+        p = _bracket(window, zeta, zeta).real
+        if p < -_PROB_TOL or p > 1.0 + _PROB_TOL:
             raise EstimationError(f"projector expectation {p!r} outside [0, 1]")
         probs.append(min(max(p, 0.0), 1.0))
     rest = 1.0 - sum(probs)
-    if rest < -tol:
+    if rest < -_PROB_TOL:
         raise EstimationError("outcome probabilities exceed 1")
     probs.append(max(rest, 0.0))
     return np.array(probs)
 
 
-def outcome_probabilities(state: GaussianState, spec: MeasurementSpec,
-                          tol: float = 1e-9) -> np.ndarray:
+def outcome_probabilities(state: GaussianState, spec: MeasurementSpec) -> np.ndarray:
     """Exact outcome distribution of `spec` in `state`."""
-    return _spec_probabilities(*_window(state), spec, tol)
+    return _spec_probabilities(_window(state), spec)
 
 
 def sample(probabilities, k: int, seed) -> np.ndarray:
     """k i.i.d. draws by inverse CDF on a seeded PCG64 stream; returns counts.
 
     `seed` is a 64-bit integer or a numpy SeedSequence (for substreams).
+    Shots whose sampling arrays exceed physical memory are refused first.
     """
     p = np.asarray(probabilities, dtype=float)
     if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("probabilities must be nonnegative and sum to 1")
+    k = int(k)
+    check_memory(_SHOT_BYTES * k, f"{k} shots: the sampling arrays")
     rng = np.random.Generator(np.random.PCG64(seed))
     cdf = np.cumsum(p)
-    idx = np.searchsorted(cdf, rng.random(int(k)), side="right")
+    idx = np.searchsorted(cdf, rng.random(k), side="right")
     idx = np.minimum(idx, len(p) - 1)
     return np.bincount(idx, minlength=len(p))
 
@@ -245,16 +247,15 @@ def _stream_seed(seed: int, stream: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=(stream,))
 
 
-def simulate_battery(state: GaussianState, shots: int, seed: int,
-                     specs: list[MeasurementSpec] | None = None) -> list[dict]:
-    """Sampled counts for every spec; one independent substream per spec."""
+def simulate_battery(state: GaussianState, shots: int, seed: int) -> list[dict]:
+    """Sampled counts for every spec of the standard battery; one independent
+    substream per spec."""
     if shots < 1:
         raise ValueError(f"shots must be at least 1, got {shots}")
-    specs = standard_battery(state.n) if specs is None else specs
-    window, imap = _window(state)
+    window = _window(state)
     out = []
-    for i, spec in enumerate(specs):
-        p = _spec_probabilities(window, imap, spec)
+    for i, spec in enumerate(standard_battery(state.n)):
+        p = _spec_probabilities(window, spec)
         counts = sample(p, shots, _stream_seed(seed, i))
         out.append({"spec": spec, "counts": counts, "shots": int(shots)})
     return out
@@ -291,9 +292,7 @@ def _polarize(e_plus, e_imag, e_uu, e_vv) -> complex:
 
 
 def _chi_entry(params: GeneralE2Params, t: tuple) -> float:
-    op = general_truncate(params, 2)
-    imap = {b: i for i, b in enumerate(op.basis)}
-    return float(op.entries[imap[t], imap[t]].real)
+    return general_truncate(params, 2).element(t, t).real
 
 
 def estimate(measurements: list[dict]) -> EstimationReport:

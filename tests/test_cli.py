@@ -195,6 +195,11 @@ class TestBoundary:
                                     "--shots", shots)
         assert "shots" in err
 
+    def test_simulate_refuses_shots_beyond_memory(self, capsys, smsv_file):
+        err = assert_one_line_error(capsys, "tomo-simulate", "--state", smsv_file,
+                                    "--shots", "1000000000000000")
+        assert "1000000000000000 shots" in err and "memory" in err
+
     def test_estimate_rejects_zero_shots(self, capsys, tmp_path, smsv_file):
         code, sim_text = run_cli(capsys, "tomo-simulate", "--state", smsv_file,
                                  "--shots", "100")
@@ -406,6 +411,11 @@ GOLDEN_TOMO = (
     '{"n": 2, "c": [0.63139730756473766, 0], "mu": [[0, 0], [0, 0]], '
     '"A": [[[0, 0], [0.20000000000000001, 0]], [[0.20000000000000001, 0], [0, 0]]], '
     '"Lambda": [[[0.10000000000000001, 0], [0, 0.02]], [[0, -0.02], [0.12, 0]]]}')
+GOLDEN_PURE = (
+    '{"n": 2, "c": [0.89975543343733144, 0], "mu": [[0, 0], [0, 0]], '
+    '"A": [[[0.10000000000000001, 0.050000000000000003], [0.12, -0.029999999999999999]], '
+    '[[0.12, -0.029999999999999999], [-0.080000000000000002, 0]]], '
+    '"Lambda": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}')
 
 
 class TestGoldenOutput:
@@ -420,6 +430,17 @@ class TestGoldenOutput:
         path = tmp_path / "state.json"
         path.write_text(state)
         code, out = run_cli(capsys, "dmf", "--state", str(path), "--cutoff", "8",
+                            "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "859b35483d2190751ce538e36108f642f95675e791583064a47a0ed33abce90a"),
+        ("csv", "70ec165ae018deefeb1405820f1c0b2049caf086cbd36204bd55ca263f82af95")])
+    def test_statevec_bytes(self, capsys, tmp_path, fmt, digest):
+        path = tmp_path / "state.json"
+        path.write_text(GOLDEN_PURE)
+        code, out = run_cli(capsys, "statevec", "--state", str(path), "--cutoff", "8",
                             "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

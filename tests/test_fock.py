@@ -462,3 +462,42 @@ class TestExports:
         lines = vec.to_csv().strip().split("\n")
         assert lines[0] == "t1,re,im"
         assert len(lines) == 1 + vec.dim
+
+
+class TestCarrierReads:
+    """`index`/`element` against a map built here, on a 3-mode cutoff-6 window."""
+
+    @pytest.fixture
+    def carriers(self):
+        a = [[0.1, 0.05, 0.0], [0.05, -0.08, 0.02], [0.0, 0.02, 0.06]]
+        lam = np.diag([0.2, 0.1, 0.05])
+        return dmf(a, lam, 6), pure_state_vector(a, 6)
+
+    def test_reads_match_enumerate_map(self, carriers):
+        op, vec = carriers
+        imap = {t: i for i, t in enumerate(basis_indices(3, 6))}
+        for t, i in imap.items():
+            assert op.index(t) == vec.index(t) == i
+            assert vec.element(t) == vec.entries[i]
+            for s, j in imap.items():
+                assert op.element(t, s) == op.entries[i, j]
+        assert op.index(np.array([1, 2, 3])) == imap[(1, 2, 3)]
+
+    def test_map_built_once_per_carrier(self, carriers, monkeypatch):
+        calls = []
+        build = fock.basis_index_map
+        monkeypatch.setattr(fock, "basis_index_map", lambda basis: calls.append(1) or build(basis))
+        op, vec = carriers
+        for t in op.basis[:40]:
+            op.index(t)
+            op.element(t, op.basis[-1])
+            vec.element(t)
+        assert len(calls) == 2
+        op.dagger().element(op.basis[1], op.basis[2])
+        assert len(calls) == 3
+
+    def test_csv_refuses_non_finite(self):
+        vec = pure_state_vector([[0.2]], 2)
+        vec.entries[1] = complex(math.nan, 0.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            vec.to_csv()
