@@ -69,8 +69,6 @@ from .states import (
     GaussianState,
     characteristic_function,
     coherent,
-    complete_entanglement_certificate,
-    entanglement_report,
     is_completely_entangled_pure,
     is_pure_separable,
     marginal,
@@ -80,6 +78,7 @@ from .states import (
     thermal,
     tmsv,
     vacuum,
+    weakest_split,
 )
 from .tomography import (
     EstimationReport,

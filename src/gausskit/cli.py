@@ -26,9 +26,9 @@ from .params import CovarianceParams, E2Params, cov_to_e2, is_normalized
 from .states import (
     GaussianState,
     characteristic_function,
-    entanglement_report,
     is_pure_separable,
     marginal,
+    weakest_split,
 )
 from .tomography import MeasurementSpec, estimate, simulate_battery
 
@@ -186,7 +186,8 @@ def _cmd_statevec(args) -> int:
     state = _load_state(args)
     if not state.is_pure():
         raise GausskitError("statevec requires a pure state (Lambda = 0)")
-    _emit_window(pure_state_vector(state.params.a, args.cutoff, args.tol), args.fmt)
+    p = state.params
+    _emit_window(pure_state_vector(p.a, args.cutoff, args.tol, mu=p.mu), args.fmt)
     return 0
 
 
@@ -198,15 +199,16 @@ def _cmd_marginal(args) -> int:
 
 def _cmd_entanglement(args) -> int:
     state = _load_state(args)
-    if args.split is None:
-        _emit(io.dumps(entanglement_report(state, args.tol)))
-        return 0
-    modes = args.split
-    right = [m for m in range(state.n) if m not in modes]
-    label = ",".join(map(str, modes)) + "|" + ",".join(map(str, right))
-    sep = is_pure_separable(state, modes, args.tol)
-    off = float(np.linalg.norm(state.params.a[np.ix_(modes, right)]))
-    _emit(io.dumps({label: {"separable": bool(sep), "offdiag_norm": off}}))
+    split = weakest_split(state) if args.split is None else (
+        args.split, [m for m in range(state.n) if m not in args.split])
+    report = {}
+    if split is not None:  # a one-mode state has no split
+        left, right = split
+        label = ",".join(map(str, left)) + "|" + ",".join(map(str, right))
+        sep = is_pure_separable(state, left, args.tol)  # rejects a bad --split before indexing
+        off = float(np.linalg.norm(state.params.a[np.ix_(left, right)]))
+        report[label] = {"separable": sep, "offdiag_norm": off}
+    _emit(io.dumps(report))
     return 0
 
 
@@ -274,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=_modes, required=True,
                    help="comma-separated kept modes, 0-based")
     p = reads_state(command("entanglement", _cmd_entanglement,
-                            "pure-state separability report"))
+                            "pure-state separability of a split, by default the weakest"))
     p.add_argument("--split", type=_modes, help="comma-separated left modes, 0-based")
     p = reads_state(command("charfn", _cmd_charfn, "quantum characteristic function values"))
     p.add_argument("--z", type=_z, required=True,

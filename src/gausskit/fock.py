@@ -22,7 +22,7 @@ from . import io
 from .config import DEFAULT_TOL
 from .core import c_factor
 from .errors import InvalidStateError
-from .params import E2Params, GeneralE2Params, is_valid_state
+from .params import E2Params, GeneralE2Params, is_valid_state, normalization_c
 
 __all__ = [
     "multi_factorial",
@@ -466,17 +466,31 @@ def matrix_element(a, lam, t, s, tol: float = DEFAULT_TOL) -> complex:
     return complex(c_factor(a, lam, tol) * _phi_direct(q, ts))
 
 
-def pure_state_vector(a, cutoff: int, tol: float = DEFAULT_TOL) -> TruncatedVector:
-    """|psi_A> entries sqrt(c(A, 0)) phi_A(t) on the window; needs ||A|| < 1/2."""
+def pure_state_vector(a, cutoff: int, tol: float = DEFAULT_TOL, mu=None) -> TruncatedVector:
+    """|psi_{A,mu}> on the window; needs ||A|| < 1/2.
+
+    Entries sqrt(c) sqrt(t!) f_{A,mu}(t), with f_{A,mu}(t) the u^t
+    coefficient of exp(mu^T u + u^T A u) and c the state's normalization;
+    for mu = 0 this is sqrt(c(A, 0)) phi_A(t).
+    """
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     if np.linalg.norm(a, 2) >= 0.5:
         raise InvalidStateError("2A must be a strict contraction for a pure state")
     n = a.shape[0]
     basis = _window_basis(n, cutoff, square=False)
-    table = _phi_table(a)
-    root_c = math.sqrt(c_factor(a, np.zeros((n, n)), tol))
-    entries = np.array([root_c * table(t) for t in basis], dtype=complex)
-    return TruncatedVector(n, cutoff, tuple(basis), entries)
+    zero = np.zeros((n, n))
+    if not np.any(mu):
+        table = _phi_table(a)
+        root_c = math.sqrt(c_factor(a, zero, tol))
+        entries = [root_c * table(t) for t in basis]
+    else:
+        mu = np.asarray(mu, dtype=complex).reshape(-1)
+        if mu.shape != (n,):
+            raise ValueError("mu must hold one entry per mode")
+        coeffs = _coeff_table(a, mu, basis)
+        root_c = math.sqrt(normalization_c(mu, a, zero, tol))
+        entries = [root_c * math.sqrt(multi_factorial(t)) * coeffs[t] for t in basis]
+    return TruncatedVector(n, cutoff, tuple(basis), np.array(entries, dtype=complex))
 
 
 def z1_matrix(p: E2Params, cutoff: int, tol: float = DEFAULT_TOL) -> TruncatedOperator:

@@ -6,7 +6,8 @@ numerical quadrature for the Gaussian integral, literal matrix
 exponentials of annihilation quadratics, partial traces by direct
 summation, a numerical coherent-state resolution of identity, and the
 paper's mixing-kernel and direct E2 marginal formulas as cross-checks of
-the production paths.
+the production paths, and the scan over every bipartition with the paper's
+sufficient condition for complete entanglement.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ __all__ = [
     "gamma_entry_enumerated",
     "mixing_kernel_element",
     "marginal_via_e2",
+    "all_bipartitions",
+    "complete_entanglement_certificate",
 ]
 
 
@@ -338,3 +341,33 @@ def marginal_via_e2(state: GaussianState, keep: list[int]) -> E2Params:
     c0 = c_factor(p.a, p.lam, state.tol) / c_factor(a11, l11, state.tol)
     return E2Params(c0, np.zeros(len(keep), dtype=complex),
                     0.5 * (a0 + a0.T), 0.5 * (lam0 + lam0.conj().T))
+
+
+# ---------------------------------------------------------------------------
+# bipartitions: the scan the weakest-split minimum cut replaces
+
+
+def all_bipartitions(n: int) -> list[tuple[list[int], list[int]]]:
+    """The 2^(n-1) - 1 basis-aligned splits, as (subset containing mode 0, rest)."""
+    out = []
+    for mask in range(0, 2 ** (n - 1) - 1):
+        left = [0] + [m for m in range(1, n) if (mask >> (m - 1)) & 1]
+        right = [m for m in range(1, n) if m not in left]
+        out.append((left, right))
+    return out
+
+
+def complete_entanglement_certificate(state: GaussianState,
+                                      tol: float | None = None) -> bool:
+    """The paper's sufficient condition: every off-diagonal A entry nonzero and ||A|| < 1/2.
+
+    It implies states.is_completely_entangled_pure, never the reverse.
+    """
+    tol = state.tol if tol is None else tol
+    if not state.is_pure():
+        raise UnsupportedStateError("certificate applies to pure states only")
+    a = state.params.a
+    n = state.n
+    scale = 1.0 + np.abs(a).max()
+    offdiag_ok = all(abs(a[i, j]) > tol * scale for i in range(n) for j in range(n) if i != j)
+    return offdiag_ok and np.linalg.norm(a, 2) < 0.5

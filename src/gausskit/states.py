@@ -3,7 +3,8 @@
 GaussianState wraps the canonical quadruple and caches the derived
 covariance pair.  On top of it: characteristic function, photon-number
 statistics, marginals, bipartite separability tests for pure states,
-the complete-entanglement test, and the displacement/rotation normal form.
+the weakest split and complete-entanglement test by one minimum cut, and
+the displacement/rotation normal form.
 """
 
 from __future__ import annotations
@@ -44,10 +45,8 @@ __all__ = [
     "marginal",
     "is_pure_separable",
     "is_completely_entangled_pure",
-    "complete_entanglement_certificate",
-    "entanglement_report",
+    "weakest_split",
     "normal_form",
-    "all_bipartitions",
 ]
 
 
@@ -183,16 +182,6 @@ def marginal(state: GaussianState, modes: list[int]) -> GaussianState:
     return GaussianState.from_cov(sub, state.tol)
 
 
-def all_bipartitions(n: int) -> list[tuple[list[int], list[int]]]:
-    """The 2^(n-1) - 1 basis-aligned splits, as (subset containing mode 0, rest)."""
-    out = []
-    for mask in range(0, 2 ** (n - 1) - 1):
-        left = [0] + [m for m in range(1, n) if (mask >> (m - 1)) & 1]
-        right = [m for m in range(1, n) if m not in left]
-        out.append((left, right))
-    return out
-
-
 def _offdiag_norm(a: np.ndarray, left: list[int], right: list[int]) -> float:
     return float(np.linalg.norm(a[np.ix_(left, right)]))
 
@@ -209,16 +198,19 @@ def is_pure_separable(state: GaussianState, modes: list[int],
     return bool(_offdiag_norm(state.params.a, left, right) <= tol * scale)
 
 
-def _min_cut_weight(w: np.ndarray) -> float:
-    """Weight of a global minimum cut of the graph with symmetric weights w.
+def _min_cut(w: np.ndarray) -> tuple[float, list[int]]:
+    """Weight of a global minimum cut of the graph with symmetric weights w,
+    and the vertices on one side of it.
 
     Stoer-Wagner: each phase adds vertices in maximum-adjacency order, the
     weight joining the last one to the rest is a cut, and the last vertex
     is merged into the one added before it.  n - 1 phases, O(n^3) in all.
-    Diagonal entries are self-loops and never enter a cut.
+    The side of the best phase's cut is the set merged into its last
+    vertex.  Diagonal entries are self-loops and never enter a cut.
     """
     w = np.array(w, dtype=float)
-    best = math.inf
+    groups = [[v] for v in range(len(w))]
+    best, side = math.inf, []
     while len(w) > 1:
         m = len(w)
         added = np.zeros(m, dtype=bool)
@@ -232,55 +224,47 @@ def _min_cut_weight(w: np.ndarray) -> float:
             added[v] = True
             prev, last = last, v
             key += w[v]
-        best = min(best, cut)
+        if cut < best:
+            best, side = cut, list(groups[last])
+        groups[prev] += groups[last]
+        del groups[last]
         w[prev] += w[last]
         w[:, prev] += w[:, last]
         keep = np.arange(m) != last
         w = w[np.ix_(keep, keep)]
-    return best
+    return best, side
+
+
+def weakest_split(state: GaussianState) -> tuple[list[int], list[int]] | None:
+    """The split (L | R) with the least ||A[L, R]||_F, mode 0 in L; None for one mode.
+
+    Over all 2^(n-1) - 1 basis-aligned splits, ||A[L, R]||_F^2 is the
+    weight of the cut (L | R) in the mode graph with edge weights |A_ij|^2,
+    so the weakest split is that graph's global minimum cut, found exactly
+    in O(n^3) by Stoer-Wagner (J. ACM 44(4), 1997).
+    """
+    if not state.is_pure():
+        raise UnsupportedStateError("weakest split applies to pure states only")
+    if state.n == 1:
+        return None
+    _, side = _min_cut(np.abs(state.params.a) ** 2)
+    rest = [m for m in range(state.n) if m not in side]
+    return (sorted(side), rest) if 0 in side else (rest, sorted(side))
 
 
 def is_completely_entangled_pure(state: GaussianState, tol: float | None = None) -> bool:
     """Entangled across every basis-aligned bipartition, by is_pure_separable's test.
 
-    A split (L | R) is separable when ||A[L, R]||_F <= tol * (1 + max |A_ij|).
-    The least ||A[L, R]||_F^2 over all 2^(n-1) - 1 splits is the global
-    minimum cut of the mode graph with edge weights |A_ij|^2, found exactly
-    in O(n^3) by Stoer-Wagner (J. ACM 44(4), 1997) instead of by a scan.
+    A split (L | R) is separable when ||A[L, R]||_F <= tol * (1 + max |A_ij|),
+    so the state is completely entangled iff its weakest split (one
+    minimum cut, see weakest_split) is not separable.
     """
     tol = state.tol if tol is None else tol
     if not state.is_pure():
         raise UnsupportedStateError("complete-entanglement test applies to pure states only")
     a = state.params.a
     scale = 1.0 + np.abs(a).max()
-    return bool(math.sqrt(_min_cut_weight(np.abs(a) ** 2)) > tol * scale)
-
-
-def complete_entanglement_certificate(state: GaussianState,
-                                      tol: float | None = None) -> bool:
-    """Fast sufficient condition: every off-diagonal A entry nonzero and ||A|| < 1/2."""
-    tol = state.tol if tol is None else tol
-    if not state.is_pure():
-        raise UnsupportedStateError("certificate applies to pure states only")
-    a = state.params.a
-    n = state.n
-    scale = 1.0 + np.abs(a).max()
-    offdiag_ok = all(abs(a[i, j]) > tol * scale for i in range(n) for j in range(n) if i != j)
-    return offdiag_ok and np.linalg.norm(a, 2) < 0.5
-
-
-def entanglement_report(state: GaussianState, tol: float | None = None) -> dict:
-    """{split-label: {"separable": bool, "offdiag_norm": float}} over all splits."""
-    if not state.is_pure():
-        raise UnsupportedStateError("entanglement report applies to pure states only")
-    out = {}
-    for left, right in all_bipartitions(state.n):
-        label = ",".join(str(m) for m in left) + "|" + ",".join(str(m) for m in right)
-        out[label] = {
-            "separable": is_pure_separable(state, left, tol),
-            "offdiag_norm": _offdiag_norm(state.params.a, left, right),
-        }
-    return out
+    return bool(math.sqrt(_min_cut(np.abs(a) ** 2)[0]) > tol * scale)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,12 @@ from gausskit.fock import (
     phi,
     z1_matrix,
 )
-from gausskit.oracles import mixing_kernel_element, partial_trace, series_coefficient
+from gausskit.oracles import (
+    all_bipartitions,
+    mixing_kernel_element,
+    partial_trace,
+    series_coefficient,
+)
 from gausskit.params import cov_to_e2, e2_to_cov, state_params
 from gausskit.semigroup import (
     adjoint_params,
@@ -34,7 +39,6 @@ from gausskit.semigroup import (
 )
 from gausskit.states import (
     GaussianState,
-    all_bipartitions,
     is_completely_entangled_pure,
     is_pure_separable,
     marginal,

@@ -109,6 +109,18 @@ class TestMatrixCommands:
         amp0 = complex(*data["entries"][0])
         assert abs(amp0 - (1 - 4 * 0.09) ** 0.25) < 1e-12
 
+    def test_statevec_displaced(self, capsys, tmp_path):
+        path = tmp_path / "displaced.json"
+        path.write_text(io.dumps(state_params([[0.1]], [[0.0]], [0.5]).to_json_dict()))
+        code, out = run_cli(capsys, "statevec", "--state", str(path), "--cutoff", "8")
+        assert code == 0
+        psi = np.array([complex(*z) for z in json.loads(out)["entries"]])
+        code, out = run_cli(capsys, "dmf", "--state", str(path), "--cutoff", "8")
+        assert code == 0
+        rho = np.array([complex(*z) for z in json.loads(out)["entries"]]).reshape(9, 9)
+        assert abs(psi[1]) > 0.4  # <1|psi> was 0 when mu was dropped
+        assert np.abs(np.outer(psi, psi.conj()) - rho).max() <= 1e-15
+
 
 class TestAnalysisCommands:
     def test_marginal(self, capsys, tmsv_file):
@@ -123,6 +135,33 @@ class TestAnalysisCommands:
         assert code == 0
         data = json.loads(out)
         assert data["0|1"]["separable"] is False
+
+    def test_entanglement_weakest_split_only(self, capsys, tmp_path):
+        # 32,767 splits; the report holds the weakest one, here the lone mode 5
+        rng = np.random.default_rng(16)
+        a = 0.01 * (rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+        a = a + a.T
+        a[5, :] = a[:, 5] = 0.0
+        a[5, 9] = a[9, 5] = 1e-3
+        path = tmp_path / "sixteen.json"
+        path.write_text(io.dumps(state_params(a, np.zeros((16, 16))).to_json_dict()))
+        code, out = run_cli(capsys, "entanglement", "--state", str(path))
+        assert code == 0
+        rest = ",".join(str(m) for m in range(16) if m != 5)
+        assert json.loads(out) == {f"{rest}|5": {"separable": False,
+                                                  "offdiag_norm": pytest.approx(1e-3)}}
+
+    def test_entanglement_one_mode_has_no_split(self, capsys, smsv_file):
+        code, out = run_cli(capsys, "entanglement", "--state", smsv_file)
+        assert code == 0
+        assert json.loads(out) == {}
+
+    def test_entanglement_rejects_mixed(self, capsys, tmp_path):
+        path = tmp_path / "thermal.json"
+        path.write_text(io.dumps(state_params(np.zeros((2, 2)), np.diag([0.3, 0.2]))
+                                 .to_json_dict()))
+        code = main(["entanglement", "--state", str(path)])
+        assert code == 2 and "pure states only" in capsys.readouterr().err
 
     def test_charfn(self, capsys, smsv_file):
         code, out = run_cli(capsys, "charfn", "--state", smsv_file,
@@ -442,6 +481,14 @@ class TestGoldenOutput:
         path.write_text(GOLDEN_PURE)
         code, out = run_cli(capsys, "statevec", "--state", str(path), "--cutoff", "8",
                             "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("split, digest", [
+        ([], "dc53cb748053645abc96c5978d606072dd3ddb07fb8997d24ce3a6fcdd0753cc"),
+        (["--split", "1"], "9a9370d0291d747f5aaeac3c0597a79010976f39b1b87f4a5b6637aefa8652a5")])
+    def test_entanglement_bytes(self, capsys, tmsv_file, split, digest):
+        code, out = run_cli(capsys, "entanglement", "--state", tmsv_file, *split)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

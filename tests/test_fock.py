@@ -373,6 +373,16 @@ class TestPureStateVector:
         with pytest.raises(InvalidStateError):
             pure_state_vector([[0.5]], 4)
 
+    def test_displaced_outer_product_is_window(self, rng):
+        for n in (1, 2, 3):
+            for _ in range(3):
+                a = random_symmetric(rng, n, 0.2)
+                mu = 0.4 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+                p = state_params(a, np.zeros((n, n)), mu)
+                vec = pure_state_vector(a, 6, mu=mu)
+                rho = general_truncate(p.as_general(), 6).entries
+                assert np.abs(np.outer(vec.entries, vec.entries.conj()) - rho).max() <= 1e-15
+
 
 class TestZ1:
     def test_lambda_zero_row_structure(self, rng):

@@ -11,8 +11,12 @@ brute-force reference:
 - fock.gamma_matrix            <- gamma_entry_enumerated (test_fock)
 - fock.dmf                     <- z1_matrix product, general_truncate, mixing kernel
 - fock.matrix_element          <- series_coefficient on the 2n-variable form, dmf window
-- fock.pure_state_vector       <- kb_resolution_check norm, closed-form families
+- fock.pure_state_vector       <- kb_resolution_check norm, closed-form families;
+                                  with mu, v v^dagger vs the general_truncate window
 - states.marginal              <- partial_trace / partial_trace_vector_outer, marginal_via_e2
+- states.weakest_split         <- min over the all_bipartitions scan (test_states)
+- states.is_completely_entangled_pure <- all_bipartitions scan of is_pure_separable,
+                                  implied by complete_entanglement_certificate
 - semigroup.compose            <- truncated matrix products + quadrature_gaussian
 - semigroup.gamma0_params      <- vacuum image vs pure_state_vector, unitarity
 """

@@ -5,16 +5,19 @@ import pytest
 
 from gausskit.errors import InvalidStateError, UnsupportedStateError
 from gausskit.fock import basis_indices, dmf, pure_state_vector
-from gausskit.oracles import marginal_via_e2, partial_trace, partial_trace_vector_outer
+from gausskit.oracles import (
+    all_bipartitions,
+    complete_entanglement_certificate,
+    marginal_via_e2,
+    partial_trace,
+    partial_trace_vector_outer,
+)
 from gausskit.params import E2Params, state_params
 from gausskit.semigroup import conjugate_by_gamma, conjugate_by_weyl
 from gausskit.states import (
     GaussianState,
-    all_bipartitions,
     characteristic_function,
     coherent,
-    complete_entanglement_certificate,
-    entanglement_report,
     is_completely_entangled_pure,
     is_pure_separable,
     marginal,
@@ -24,6 +27,7 @@ from gausskit.states import (
     thermal,
     tmsv,
     vacuum,
+    weakest_split,
 )
 
 from conftest import params6_diff, random_state, random_symmetric
@@ -234,14 +238,21 @@ class TestSeparability:
             is_pure_separable(thermal([0.3, 0.2]), [0])
 
 
+def offdiag_norm(st: GaussianState, split) -> float:
+    left, right = split
+    return float(np.linalg.norm(st.params.a[np.ix_(left, right)]))
+
+
 class TestCompleteEntanglement:
     def test_theta_family(self):
-        for n in (2, 3, 4):
+        for n in range(2, 7):
             theta = 0.2 / (n - 1)
             a = theta * (np.ones((n, n)) - np.eye(n))
             st = GaussianState.from_a_lambda(a, np.zeros((n, n)))
             assert is_completely_entangled_pure(st)
             assert complete_entanglement_certificate(st)
+            scale = 1.0 + np.abs(a).max()
+            assert offdiag_norm(st, weakest_split(st)) > st.tol * scale
 
     def test_block_diagonal_not_complete(self, rng):
         a1 = random_symmetric(rng, 1, 0.2)
@@ -250,6 +261,21 @@ class TestCompleteEntanglement:
         st = GaussianState.from_a_lambda(a, np.zeros((3, 3)))
         assert not is_completely_entangled_pure(st)
         assert not complete_entanglement_certificate(st)
+        assert weakest_split(st) == ([0], [1, 2])
+
+    def test_certificate_implies_complete(self, rng):
+        certified = 0
+        for n in range(2, 7):
+            for trial in range(20):
+                a = random_symmetric(rng, n, 0.2)
+                if trial % 2:
+                    a[rng.random((n, n)) < 0.15] = 0.0
+                    a = np.triu(a) + np.triu(a, 1).T
+                st = GaussianState.from_a_lambda(a, np.zeros((n, n)))
+                if complete_entanglement_certificate(st):
+                    certified += 1
+                    assert is_completely_entangled_pure(st)
+        assert 0 < certified < 100
 
     def test_three_mode_zero_diagonal(self, rng):
         a = np.array([[0.0, 0.11, 0.06 - 0.02j],
@@ -292,17 +318,27 @@ class TestCompleteEntanglement:
                 want = scan(st, tol)
                 seen.add(want)
                 assert is_completely_entangled_pure(st, tol) is want
+                least = min(offdiag_norm(st, split) for split in all_bipartitions(n))
+                left, right = weakest_split(st)
+                assert left[0] == 0 and left == sorted(left) and right == sorted(right)
+                assert sorted(left + right) == list(range(n))
+                assert offdiag_norm(st, (left, right)) == pytest.approx(least, rel=1e-12)
         assert seen == {True, False}
 
     def test_sixteen_modes(self, rng):
         st = random_pure(rng, 16)
         assert is_completely_entangled_pure(st) is True
 
-    def test_report_structure(self):
-        rep = entanglement_report(tmsv(0.3))
-        assert set(rep) == {"0|1"}
-        assert rep["0|1"]["separable"] is False
-        assert rep["0|1"]["offdiag_norm"] == pytest.approx(0.3)
+    def test_weakest_split_of_tmsv(self):
+        st = tmsv(0.3)
+        assert weakest_split(st) == ([0], [1])
+        assert not is_pure_separable(st, [0])
+        assert offdiag_norm(st, weakest_split(st)) == pytest.approx(0.3)
+
+    def test_weakest_split_needs_pure_and_two_modes(self):
+        assert weakest_split(smsv(0.2)) is None
+        with pytest.raises(UnsupportedStateError):
+            weakest_split(thermal([0.3, 0.2]))
 
 
 class TestNormalForm:
