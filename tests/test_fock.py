@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -29,7 +30,7 @@ from gausskit.oracles import (
     series_coefficient,
     truncated_exp_annihilation,
 )
-from gausskit.params import state_params
+from gausskit.params import GeneralE2Params, state_params
 from gausskit.semigroup import weyl_params
 
 from conftest import random_state, random_symmetric, random_psd
@@ -511,3 +512,109 @@ class TestCarrierReads:
         vec.entries[1] = complex(math.nan, 0.0)
         with pytest.raises(ValueError, match="non-finite"):
             vec.to_csv()
+
+
+def _six_tuple(rng, n) -> GeneralE2Params:
+    """A random element that is not self-adjoint, with complex non-hermitian Lambda."""
+    lam = 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / n
+    return GeneralE2Params(c=0.7 - 0.4j, alpha=0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
+                           beta=0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
+                           a=random_symmetric(rng, n, 0.2), lam=lam, b=random_symmetric(rng, n, 0.2))
+
+
+def _window_case(name: str, rng) -> np.ndarray:
+    """Entries of one seeded window; `name` is kind-modes-cutoff."""
+    kind, n, cutoff = name.rsplit("-", 2)
+    n, cutoff = int(n), int(cutoff)
+    if kind == "dmf":
+        p = random_state(rng, n, with_mean=False)
+        return dmf(p.a, p.lam, cutoff).entries
+    if kind in ("zero", "displaced", "tomo"):
+        p = random_state(rng, n, with_mean=kind != "zero")
+        return general_truncate(p.as_general(), cutoff).entries
+    if kind == "real-mu":
+        p = random_state(rng, n, with_mean=False)
+        return general_truncate(state_params(p.a, p.lam, rng.normal(size=n)).as_general(),
+                                cutoff).entries
+    if kind == "one-zero-mu":  # mu^k vanishes exactly for every k reaching the last mode
+        p = random_state(rng, n)
+        mu = p.mu.copy()
+        mu[-1] = 0.0
+        return general_truncate(state_params(p.a, p.lam, mu).as_general(), cutoff).entries
+    if kind == "six-tuple":
+        return general_truncate(_six_tuple(rng, n), cutoff).entries
+    if kind == "e_a":
+        return e_a_matrix(random_symmetric(rng, n, 0.3), cutoff).entries
+    if kind == "gamma":
+        return gamma_matrix(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), cutoff)
+    if kind == "gamma-diag-zeros":
+        return gamma_matrix(np.diag(np.r_[rng.uniform(0.2, 0.9, size=n - 1), 0.0]), cutoff)
+    if kind == "z1":
+        return z1_matrix(random_state(rng, n), cutoff).entries
+    if kind == "statevec":
+        return pure_state_vector(random_symmetric(rng, n, 0.2), cutoff).entries
+    if kind == "statevec-displaced":
+        mu = 0.4 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        return pure_state_vector(random_symmetric(rng, n, 0.2), cutoff, mu=mu).entries
+    raise KeyError(name)
+
+
+class TestWindowBytes:
+    """sha256 of the entries of seeded windows, pinned before the window
+    kernel was rebuilt on cached index structure: every builder must keep
+    each state's arithmetic bit for bit."""
+
+    DIGESTS = {
+        "dmf-1-12": "cd97592f865b63a0303c959e984052d29bf4febd64d5aa17acaa70fb5b1ffd96",
+        "zero-1-12": "d80458d0df25b7d6ccbdc4c62af510b73aab26511a95c59d9a164ad308ae8e31",
+        "displaced-1-12": "cb45b899aac5c9e8585e339800ebf066938c3e173afa51501662733786e03201",
+        "six-tuple-1-12": "8c48936a91a8e6115bff40a91f34c836edcaa1447636fc52f78f4bee8f3763da",
+        "real-mu-1-12": "4cee997a0facfc98e509192892632969dab5bdd9cc3738d39b8c2cc081323362",
+        "gamma-1-12": "effb334d88c15267816f10371aea96f10d370dc4ae3bd6f5c24a14531746f347",
+        "e_a-1-12": "12f71c2e88668ce3aed2b61f680f4a93699c0cb5ff48d1a39c57d17666f1b8b0",
+        "z1-1-12": "e6f60138c1adf201b168eb7aeddb905a7150b2a47596ba6ee21db70d262edf49",
+        "dmf-2-6": "c6d4c32a14a3c85c2f8fb0d8a3d83675972d66d861cdc5abd0495f01359f21d7",
+        "zero-2-6": "7473301fe09e53708e29054c44410ee5325a15bcff2f73ae1a20d437d0b486da",
+        "displaced-2-6": "5746319cbffc3b252767a8239b7568c809c9300d9275491f3d7ee8cb2ed0c939",
+        "six-tuple-2-6": "3d2e3c4d2b6ba85ae8a0d9225932aed143a60cb0fb11ef9622628f38f322722d",
+        "real-mu-2-6": "9871d715e40f6312dbb060eb33824b63e38a9872b7b6097576ee3dc389984323",
+        "gamma-2-6": "5f7283300586eb4070319d0ee2794581afe75593502d90cc857743fb19daca8d",
+        "e_a-2-6": "d8ba0a713970bdc0cf7dbe071ce1cbb25954027b013fbf8bbdaaff9a83a32be7",
+        "z1-2-6": "faf709417de8a19f6ce7e66048bf2fafec577075de77d6747825d2bbeabdcce0",
+        "dmf-3-4": "7956c71926c08c389806ea9514357ed7ead61c7ac96f7a6158e15be323ee5fbe",
+        "zero-3-4": "524ab53678bace92ad9ad28d75ce44561251b93e83569af33ec2b1c0317fb198",
+        "displaced-3-4": "207ce9a96dc377cb0ea13196b8bcbc94fca9c7ded62d01257f64d029e61c8910",
+        "six-tuple-3-4": "0e92475ce99b8b94d480264d9802d9f606c37a42750952dc4c824699065b5259",
+        "real-mu-3-4": "0e9c8d9690dc2bc8a1c96d8091b6a52649baf9dfd1ed302ab3a368b27eac403b",
+        "gamma-3-4": "d3a4760da4264a766d3015881f6b4921d7334c2b97af6fa906d54626560c6dbc",
+        "e_a-3-4": "3401d80704f507a52d816f079f1e3f043497f94331dce0a8877f4a265deca0a0",
+        "z1-3-4": "2977a71b877ef89d6d0272d52c26dd1b63099ab8cb41dc1882a63154631f39b9",
+        "displaced-1-40": "b41582dd5822c437e222b20aefd267bae1640f22a3fca3b14bdb8a15e0aae2ec",
+        "displaced-2-10": "515dc22b1c93c2cc4723fb6920351d85db23cb1c3bd88efae7876b7b80712e30",
+        "one-zero-mu-2-6": "6411464bc94a595e4f4c808aa732081acd999f73c476bfa1c6c0a87e21dd9383",
+        "one-zero-mu-3-4": "57f39c8f13cea81735b122dbd0159a8922d180402c6dbe12f2da97f7d574b824",
+        "gamma-diag-zeros-2-6": "c80032b7226448e0bf361ef8988d783ab046112c24a20ecb988f6434cef2603f",
+        "gamma-diag-zeros-3-5": "cfb882db9fc027b2d969c42865656e3b180270162ee114d91da0327dc0146abf",
+        "statevec-2-8": "6f6721804340424952419546b0124924c3e42a5f16ac5a5f4f446eef7d5bfa0a",
+        "statevec-3-5": "bb3714684416e0a06088f863aa0505195417489be679f89fd0d4f18f22a29796",
+        "statevec-displaced-1-20": "95da5547286393eead9d1d0471604d8ae9b36f56fb2ecf71062fc27aa2637bcb",
+        "statevec-displaced-2-8": "97a3356918742e7021ed77f2af251ea7ef508fe12702957030b664bcf7d1f422",
+        "statevec-displaced-3-5": "5aaab1c87f4af9fa08fbaaf6ffc361b66371f504c48f41c418d012137d6a868b",
+        "tomo-2-2": "d13fe7c53560ed54a5f00f2e799e337c0a5dfd2da7dced85a0e2bae2af9906a6",
+        "tomo-3-2": "dc151668e5825a2ce0b5a786def099bb2676269e41e97151ecc23a51ecf62c63",
+        "tomo-4-2": "a135be1326c148bc013e24cf6c804ce377e710bcc250a822c1457aebefa910c6",
+        "tomo-5-2": "c2e2d98e1fa810f3a90da4a5c494e46d8878079f48597000080c4ed5e7ced92c",
+        "tomo-6-2": "f5e25d43c9099f607d21b927593c51ab3ccc8d965b7673e8ed9c592557d7b450",
+        "displaced-3-6": "49bca23fc10c32478a24b712ec673a01bcaa3ddba0242aafb8eaa37d6dc53f54",
+        "six-tuple-2-8": "cc0ccba8773514d66f502c37f0d051198bfec83ee0ed140e4e55d44904f8d56a",
+        "dmf-4-4": "4db5659e395fcc713d840db243af0c9f1646a9bf40c3731b95a90840ac86eaf2",
+        "gamma-4-4": "7b10e460cda91222b9dfd237ca9b5816633775bf0b831ffbd11ba90b8d0f7ab6",
+        "six-tuple-4-3": "c233e400d35096c8abe4cc3bc160e513c764475bae00de9f9fa66bd76effaa40",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_entries_bytes(self, name):
+        rng = np.random.default_rng([19, *name.encode()])
+        entries = _window_case(name, rng)
+        assert entries.dtype == complex and entries.flags.c_contiguous
+        assert hashlib.sha256(entries.tobytes()).hexdigest() == self.DIGESTS[name]
