@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -77,18 +77,164 @@ def _degree_indices(n: int, deg: int) -> list[tuple]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# index structure of a window
+#
+# Everything a window needs that depends only on (n, cutoff) is built once
+# per shape, part by part on first use, and the last _SHAPES shapes stay
+# cached; a state then costs a few numpy gathers over those index arrays.
+# Each entry is rounded exactly as the scalar evaluation of its formula in
+# Python complex numbers would round it (for finite values), so window
+# bytes do not depend on how the work is vectorized.  Three rules keep it so:
+# 1. numpy's complex x complex array multiply is a SIMD loop with fused
+#    multiply-adds and rounds differently from the scalar product, so a
+#    product of complex scalars is written out on float arrays:
+#    (xr*yr - xi*yi, xr*yi + xi*yr).
+# 2. A Python complex divided by a float is divided part by part, while
+#    numpy (scalar or array) multiplies by the reciprocal.  In the displaced
+#    coefficient sum the k = 0 term is the former and every other term the
+#    latter.
+# 3. In gamma_matrix both operands of each complex product are contiguous
+#    arrays of one shape, each held by a name.  numpy runs a product with a
+#    broadcast operand, or one computed in place into a temporary operand
+#    (it does so for temporaries above 256 KiB), through another loop,
+#    which rounds the last bit differently.
+
+_SHAPES = 16  # (n, cutoff) shapes whose index structure stays cached
+
+
+class _Shape:
+    """Index structure of the window over n modes with |t| <= cutoff."""
+
+    def __init__(self, n: int, cutoff: int):
+        self.n = n
+        self.cutoff = cutoff
+
+    @cached_property
+    def basis(self) -> tuple:
+        return tuple(t for deg in range(self.cutoff + 1) for t in _degree_indices(self.n, deg))
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    @cached_property
+    def sqrt_fact(self) -> np.ndarray:
+        """sqrt(t!) per basis index."""
+        return np.array([math.sqrt(multi_factorial(t)) for t in self.basis])
+
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        """The basis as a (dim, n) integer array."""
+        return np.array(self.basis, dtype=np.int64).reshape(self.dim, self.n)
+
+    @cached_property
+    def comb(self) -> np.ndarray:
+        """comb[a, b] = C(a, b) for a <= cutoff + n, b <= n."""
+        return np.array([[math.comb(a, b) for b in range(self.n + 1)]
+                         for a in range(self.cutoff + self.n + 1)], dtype=np.int64)
+
+    def index_of(self, occ: np.ndarray) -> np.ndarray:
+        """Basis index of each row of `occ` (occupations with |t| <= cutoff).
+
+        Tuples of lower degree come first: C(n + |t| - 1, n) of them.  Within
+        degree d, the tuples before t are those that agree with t on modes
+        < j and hold fewer than t_j in mode j; for each j they number
+        C(r_j + m, m) - C(r_j - t_j + m, m), with m = n - 1 - j modes left
+        and r_j = d - t_0 - ... - t_(j-1).
+        """
+        n, comb = self.n, self.comb
+        rem = occ.sum(axis=1)
+        index = comb[rem + n - 1, n]
+        for j in range(n - 1):
+            m = n - 1 - j
+            index += comb[rem + m, m] - comb[rem - occ[:, j] + m, m]
+            rem = rem - occ[:, j]
+        return index
+
+    @cached_property
+    def pairs(self) -> tuple:
+        """Every pair s <= t: index arrays of t, s and t - s, and sqrt(t!/s!).
+
+        Sorted by the position of s in t's `product` order, then by t; the
+        last item lists each position's run [lo, hi), so run 0 holds s = 0
+        for every t in basis order, and the runs after it add each t's
+        terms in `product` order.
+        """
+        occ = self.occupations
+        # s = basis[i] pairs with every d = t - s of degree <= cutoff - |s|,
+        # a prefix of the graded basis
+        counts = np.array([math.comb(self.n + self.cutoff - d, self.n)
+                           for d in occ.sum(axis=1).tolist()], dtype=np.int64)
+        cols = np.repeat(np.arange(self.dim), counts)
+        diffs = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        t = occ[cols] + occ[diffs]
+        rows = self.index_of(t)
+        pos = np.zeros(len(rows), dtype=np.int64)  # mixed radix, last mode fastest
+        for j in range(self.n):
+            pos = pos * (t[:, j] + 1) + occ[cols, j]
+        order = np.lexsort((rows, pos))
+        rows, cols, diffs, pos = rows[order], cols[order], diffs[order], pos[order]
+        edges = np.searchsorted(pos, np.arange(pos[-1] + 2))
+        return (rows.astype(np.int32), cols.astype(np.int32), diffs.astype(np.int32),
+                self.sqrt_fact[rows] / self.sqrt_fact[cols],
+                list(zip(edges[:-1].tolist(), edges[1:].tolist())))
+
+    @cached_property
+    def powers(self) -> tuple:
+        """Per mode j, the basis indices of k with k_j > 0 and those k_j;
+        then 1/k! per basis index."""
+        per_mode = []
+        for occ in self.occupations.T:
+            sel = np.flatnonzero(occ)
+            per_mode.append((sel, occ[sel]))
+        return per_mode, np.array([1.0 / float(multi_factorial(k)) for k in self.basis])
+
+    @cached_property
+    def gamma_degrees(self) -> list:
+        """Per degree m = 1..cutoff: the sector's basis slice [lo, hi); its
+        rows k grouped by first occupied mode j as (j, rows, row of k - e_j
+        in the sector below, sqrt(k_j)); and per mode i the columns l with
+        l_i > 0 as (columns, column of l - e_i in the sector below, sqrt(l_i))."""
+        n = self.n
+        out = []
+        below, lo = 0, 1
+        for deg in range(1, self.cutoff + 1):
+            hi = lo + math.comb(n + deg - 1, n - 1)
+            sector = self.occupations[lo:hi]
+
+            def lowered(sel, i):
+                occ = sector[sel].copy()
+                occ[:, i] -= 1
+                return sel, self.index_of(occ) - below, np.sqrt(sector[sel, i])
+
+            first = np.argmax(sector > 0, axis=1)
+            rows = []
+            for j in range(n):
+                sel = np.flatnonzero(first == j)
+                if len(sel):
+                    rows.append((j, *lowered(sel, j)))
+            cols = [lowered(np.flatnonzero(sector[:, i]), i) for i in range(n)]
+            out.append((lo, hi, rows, cols))
+            below, lo = lo, hi
+        return out
+
+
+@lru_cache(maxsize=_SHAPES)
+def _shape(n: int, cutoff: int) -> _Shape:
+    return _Shape(n, cutoff)
+
+
 def basis_indices(n: int, cutoff: int) -> list[tuple]:
-    """All t with |t| <= cutoff, graded lexicographic."""
+    """All t with |t| <= cutoff, graded lexicographic (a new list each call)."""
     if n < 1 or cutoff < 0:
         raise ValueError("need n >= 1 and cutoff >= 0")
-    out = []
-    for deg in range(cutoff + 1):
-        out.extend(_degree_indices(n, deg))
-    return out
+    return list(_shape(n, cutoff).basis)
 
 
 _MAX_CUTOFF = 170  # 171! overflows a double, and the window scales rows by sqrt(t!)
 _LIVE_MATRICES = 4  # dim x dim complex arrays a window build holds at once
+_PAIR_BYTES = 128  # per pair s <= t: its cached index arrays and one state's temporaries
 
 
 def check_memory(nbytes: int, what: str) -> None:
@@ -106,9 +252,11 @@ def check_memory(nbytes: int, what: str) -> None:
 def check_window(n: int, cutoff: int, square: bool = True) -> None:
     """Refuse a window that cannot be built, before anything is enumerated.
 
-    dim = C(n + cutoff, n) is known up front.  Refused with a ValueError:
+    dim = C(n + cutoff, n) and the number of pairs s <= t in the window,
+    C(2n + cutoff, 2n), are known up front.  Refused with a ValueError:
     cutoff above 170, where the factorials overflow, and a window whose
-    dense arrays (dim x dim when `square`, else dim) exceed physical memory.
+    dense arrays (dim x dim when `square`, else dim) and index structure
+    exceed physical memory.
     """
     if cutoff > _MAX_CUTOFF:
         raise ValueError(f"cutoff {cutoff} is above {_MAX_CUTOFF}: "
@@ -116,13 +264,15 @@ def check_window(n: int, cutoff: int, square: bool = True) -> None:
     if n < 1 or cutoff < 0:
         raise ValueError("need n >= 1 and cutoff >= 0")
     dim = math.comb(n + cutoff, n)
-    check_memory(16 * dim * (_LIVE_MATRICES * dim if square else 1),
-                 f"window of {n} modes at cutoff {cutoff} has dimension {dim}: its dense arrays")
+    pairs = math.comb(2 * n + cutoff, 2 * n)
+    check_memory(16 * dim * (_LIVE_MATRICES * dim if square else 1) + _PAIR_BYTES * pairs,
+                 f"window of {n} modes at cutoff {cutoff} has dimension {dim}: "
+                 "its dense arrays and index structure")
 
 
-def _window_basis(n: int, cutoff: int, square: bool = True) -> list[tuple]:
+def _window_shape(n: int, cutoff: int, square: bool = True) -> _Shape:
     check_window(n, cutoff, square)
-    return basis_indices(n, cutoff)
+    return _shape(n, cutoff)
 
 
 def basis_index_map(basis: list[tuple]) -> dict[tuple, int]:
@@ -241,54 +391,50 @@ def phi(b, t) -> complex:
     b = np.atleast_2d(np.asarray(b, dtype=complex))
     if np.abs(b - b.T).max() > 1e-12 * (1.0 + np.abs(b).max()):
         raise ValueError("B must be symmetric")
-    return _phi_table(b)(tuple(int(x) for x in t))
+    t = tuple(int(x) for x in t)
+    if len(t) != b.shape[0]:
+        raise ValueError(f"t must hold {b.shape[0]} occupation numbers, one per row of B; "
+                         f"got {len(t)}")
+    return _phi_table(b)(t)
+
+
+def _phi_values(b: np.ndarray, basis: tuple) -> np.ndarray:
+    """phi_B(t) for each t of the basis."""
+    table = _phi_table(b)
+    return np.array([table(t) for t in basis], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
 # second quantization in the particle basis
 
 
-def gamma_matrix(lam, cutoff: int, basis: list[tuple] | None = None) -> np.ndarray:
-    """Block-diagonal matrix of Gamma(Lambda) on the truncated window."""
+def gamma_matrix(lam, cutoff: int) -> np.ndarray:
+    """Block-diagonal matrix of Gamma(Lambda) on the truncated window.
+
+    Degree by degree, by one-particle removal: with j the first occupied
+    mode of row k, <k|Gamma|l> = sum_i Lambda_ji sqrt(l_i)
+    <k - e_j|Gamma|l - e_i> / sqrt(k_j), one product per (j, i) over every
+    such row at once.
+    """
     lam = np.atleast_2d(np.asarray(lam, dtype=complex))
-    n = lam.shape[0]
-    basis = basis if basis is not None else _window_basis(n, cutoff)
-    dim = len(basis)
-    out = np.zeros((dim, dim), dtype=complex)
+    shape = _window_shape(lam.shape[0], cutoff)
+    out = np.zeros((shape.dim, shape.dim), dtype=complex)
     out[0, 0] = 1.0
-    # per-degree blocks via the one-particle-removal recursion, vectorized
-    offset = 1
-    prev_idx = {(0,) * n: 0}
-    prev_block = np.ones((1, 1), dtype=complex)
-    for deg in range(1, cutoff + 1):
-        sector = _degree_indices(n, deg)
-        dim_m = len(sector)
-        col_idx = {t: i for i, t in enumerate(sector)}
-        # col_map[i][col] = previous-sector column of l - e_i (or -1)
-        col_map = np.full((n, dim_m), -1, dtype=int)
-        col_sqrt = np.zeros((n, dim_m))
-        for ci, l in enumerate(sector):
-            for i in range(n):
-                if l[i] > 0:
-                    lm = l[:i] + (l[i] - 1,) + l[i + 1:]
-                    col_map[i, ci] = prev_idx[lm]
-                    col_sqrt[i, ci] = math.sqrt(l[i])
-        block = np.zeros((dim_m, dim_m), dtype=complex)
-        for ri, k in enumerate(sector):
-            j = next(i for i, x in enumerate(k) if x > 0)
-            km = k[:j] + (k[j] - 1,) + k[j + 1:]
-            prev_row = prev_block[prev_idx[km], :]
-            acc = np.zeros(dim_m, dtype=complex)
-            for i in range(n):
+    prev = np.ones((1, 1), dtype=complex)
+    for lo, hi, rows, cols in shape.gamma_degrees:
+        block = np.zeros((hi - lo, hi - lo), dtype=complex)
+        for j, sel, parent, root in rows:
+            acc = np.zeros((len(sel), hi - lo), dtype=complex)
+            for i, (valid, back, sqrt_l) in enumerate(cols):
                 if lam[j, i] == 0:
                     continue
-                valid = col_map[i] >= 0
-                acc[valid] += lam[j, i] * col_sqrt[i, valid] * prev_row[col_map[i, valid]]
-            block[ri, :] = acc / math.sqrt(k[j])
-        out[offset:offset + dim_m, offset:offset + dim_m] = block
-        prev_idx = col_idx
-        prev_block = block
-        offset += dim_m
+                # rule 3: both factors materialized and named
+                coef = lam[j, i] * np.broadcast_to(sqrt_l, (len(sel), len(valid)))
+                lowered = prev[np.ix_(parent, back)]
+                acc[:, valid] += coef * lowered
+            block[sel] = acc / root[:, None]
+        out[lo:hi, lo:hi] = block
+        prev = block
     return out
 
 
@@ -379,44 +525,50 @@ class TruncatedVector(_Window):
 # matrices of the factorization and the general window
 
 
-def _coeff_table(b: np.ndarray, mu: np.ndarray, basis: list[tuple]) -> dict[tuple, complex]:
-    """f(x) = sum_{k <= x} mu^k / k! * phi_B(x - k) / sqrt((x - k)!) for each x in basis."""
-    table = _phi_table(b)
-    out: dict[tuple, complex] = {}
-    mu = np.asarray(mu, dtype=complex).reshape(-1)
-    plain = not np.any(mu)
-    for x in basis:
-        if plain:
-            out[x] = table(x) / math.sqrt(multi_factorial(x))
-            continue
-        acc = 0.0 + 0.0j
-        for k in product(*(range(xi + 1) for xi in x)):
-            muk = 1.0 + 0.0j
-            for mj, kj in zip(mu, k):
-                if kj:
-                    muk *= mj ** kj
-            if muk == 0:
-                continue
-            rest = tuple(xi - ki for xi, ki in zip(x, k))
-            acc += muk / multi_factorial(k) * table(rest) / math.sqrt(multi_factorial(rest))
-        out[x] = acc
+def _complex(re, im) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
     return out
 
 
-def _creation_matrix(a: np.ndarray, mu: np.ndarray, basis: list[tuple]) -> np.ndarray:
-    """Lower-triangular matrix E(t, s) = sqrt(t!/s!) f_{A,mu}(t - s) for s <= t."""
-    coeffs = _coeff_table(a, mu, basis)
-    imap = basis_index_map(basis)
-    dim = len(basis)
-    out = np.zeros((dim, dim), dtype=complex)
-    sqrt_fact = [math.sqrt(multi_factorial(t)) for t in basis]
-    for ti, t in enumerate(basis):
-        for s in product(*(range(x + 1) for x in t)):
-            diff = tuple(a_ - b_ for a_, b_ in zip(t, s))
-            if sum(diff) % 2 and not np.any(mu):
-                continue
-            si = imap[s]
-            out[ti, si] = sqrt_fact[ti] / sqrt_fact[si] * coeffs[diff]
+def _coefficients(b: np.ndarray, mu: np.ndarray, shape: _Shape) -> np.ndarray:
+    """f(x) = sum_{k <= x} mu^k / k! * phi_B(x - k) / sqrt((x - k)!) per basis index.
+
+    Each x adds its terms in `product` order over k, k = 0 first; the
+    k = 0 term is phi_B(x) / sqrt(x!) divided part by part (rule 2).
+    """
+    phi_b = _phi_values(b, shape.basis)
+    out = _complex(phi_b.real / shape.sqrt_fact, phi_b.imag / shape.sqrt_fact)
+    if not np.any(mu):
+        return out
+    mu = np.asarray(mu, dtype=complex).reshape(-1)
+    # mu^k = 1 * mu_0^k_0 * mu_1^k_1 * ... over the modes with k_j > 0 (rule 1)
+    mr, mi = np.ones(shape.dim), np.zeros(shape.dim)
+    per_mode, inv_fact = shape.powers
+    for mj, (sel, exps) in zip(mu, per_mode):
+        pw = np.array([mj ** e for e in range(shape.cutoff + 1)])
+        xr, xi, yr, yi = mr[sel], mi[sel], pw.real[exps], pw.imag[exps]
+        mr[sel], mi[sel] = xr * yr - xi * yi, xr * yi + xi * yr
+    # the terms k != 0: (mu^k / k!) * phi_B(x - k) / sqrt((x - k)!), both
+    # divisions by reciprocals (rule 2) and the product written out (rule 1)
+    rows, cols, diffs, _, runs = shape.pairs
+    first = runs[0][1]
+    k, r = cols[first:], diffs[first:]
+    ar, ai = mr[k] * inv_fact[k], mi[k] * inv_fact[k]
+    br, bi = phi_b.real[r], phi_b.imag[r]
+    inv_root = (1.0 / shape.sqrt_fact)[r]
+    terms = _complex((ar * br - ai * bi) * inv_root, (ar * bi + ai * br) * inv_root)
+    for lo, hi in runs[1:]:
+        out[rows[lo:hi]] += terms[lo - first:hi - first]
+    return out
+
+
+def _creation_matrix(b: np.ndarray, mu: np.ndarray, shape: _Shape) -> np.ndarray:
+    """Lower-triangular matrix E(t, s) = sqrt(t!/s!) f_{B,mu}(t - s) for s <= t."""
+    f = _coefficients(b, mu, shape)
+    rows, cols, diffs, ratio, _ = shape.pairs
+    out = np.zeros((shape.dim, shape.dim), dtype=complex)
+    out[rows, cols] = _complex(ratio * f.real[diffs], ratio * f.imag[diffs])
     return out
 
 
@@ -425,11 +577,8 @@ def e_a_matrix(a, cutoff: int) -> TruncatedOperator:
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     if np.abs(a - a.T).max() > 1e-12 * (1.0 + np.abs(a).max()):
         raise ValueError("A must be symmetric")
-    n = a.shape[0]
-    basis = _window_basis(n, cutoff)
-    zero = np.zeros(n, dtype=complex)
-    mat = _creation_matrix(a, zero, basis)
-    return TruncatedOperator(n, cutoff, tuple(basis), mat)
+    shape = _window_shape(a.shape[0], cutoff)
+    return TruncatedOperator(shape.n, cutoff, shape.basis, _creation_matrix(a, None, shape))
 
 
 def dmf(a, lam, cutoff: int, tol: float = DEFAULT_TOL) -> TruncatedOperator:
@@ -441,13 +590,12 @@ def dmf(a, lam, cutoff: int, tol: float = DEFAULT_TOL) -> TruncatedOperator:
     lam = np.atleast_2d(np.asarray(lam, dtype=complex))
     if not is_valid_state(a, lam, tol):
         raise InvalidStateError("(A, Lambda) is not a valid Gaussian state")
-    n = a.shape[0]
-    basis = _window_basis(n, cutoff)
-    e_a = _creation_matrix(a, np.zeros(n, dtype=complex), basis)
-    gam = gamma_matrix(lam, cutoff, basis)
+    shape = _window_shape(a.shape[0], cutoff)
+    e_a = _creation_matrix(a, None, shape)
+    gam = gamma_matrix(lam, cutoff)
     rho = c_factor(a, lam, tol) * (e_a @ gam @ e_a.conj().T)
     rho = 0.5 * (rho + rho.conj().T)
-    return TruncatedOperator(n, cutoff, tuple(basis), rho, hermitian=True)
+    return TruncatedOperator(shape.n, cutoff, shape.basis, rho, hermitian=True)
 
 
 def matrix_element(a, lam, t, s, tol: float = DEFAULT_TOL) -> complex:
@@ -459,11 +607,15 @@ def matrix_element(a, lam, t, s, tol: float = DEFAULT_TOL) -> complex:
     """
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     lam = np.atleast_2d(np.asarray(lam, dtype=complex))
+    t, s = tuple(int(x) for x in t), tuple(int(x) for x in s)
+    for name, x in (("t", t), ("s", s)):
+        if len(x) != a.shape[0]:
+            raise ValueError(f"{name} must hold {a.shape[0]} occupation numbers, one per mode; "
+                             f"got {len(x)}")
     if not is_valid_state(a, lam, tol):
         raise InvalidStateError("(A, Lambda) is not a valid Gaussian state")
     q = np.block([[a, 0.5 * lam], [0.5 * lam.T, a.conj()]])
-    ts = tuple(int(x) for x in t) + tuple(int(x) for x in s)
-    return complex(c_factor(a, lam, tol) * _phi_direct(q, ts))
+    return complex(c_factor(a, lam, tol) * _phi_direct(q, t + s))
 
 
 def pure_state_vector(a, cutoff: int, tol: float = DEFAULT_TOL, mu=None) -> TruncatedVector:
@@ -477,20 +629,20 @@ def pure_state_vector(a, cutoff: int, tol: float = DEFAULT_TOL, mu=None) -> Trun
     if np.linalg.norm(a, 2) >= 0.5:
         raise InvalidStateError("2A must be a strict contraction for a pure state")
     n = a.shape[0]
-    basis = _window_basis(n, cutoff, square=False)
+    shape = _window_shape(n, cutoff, square=False)
     zero = np.zeros((n, n))
     if not np.any(mu):
-        table = _phi_table(a)
         root_c = math.sqrt(c_factor(a, zero, tol))
-        entries = [root_c * table(t) for t in basis]
+        phi_a = _phi_values(a, shape.basis)
+        entries = _complex(root_c * phi_a.real, root_c * phi_a.imag)
     else:
         mu = np.asarray(mu, dtype=complex).reshape(-1)
         if mu.shape != (n,):
             raise ValueError("mu must hold one entry per mode")
-        coeffs = _coeff_table(a, mu, basis)
-        root_c = math.sqrt(normalization_c(mu, a, zero, tol))
-        entries = [root_c * math.sqrt(multi_factorial(t)) * coeffs[t] for t in basis]
-    return TruncatedVector(n, cutoff, tuple(basis), np.array(entries, dtype=complex))
+        f = _coefficients(a, mu, shape)
+        scale = math.sqrt(normalization_c(mu, a, zero, tol)) * shape.sqrt_fact
+        entries = _complex(scale * f.real, scale * f.imag)
+    return TruncatedVector(n, cutoff, shape.basis, entries)
 
 
 def z1_matrix(p: E2Params, cutoff: int, tol: float = DEFAULT_TOL) -> TruncatedOperator:
@@ -499,14 +651,12 @@ def z1_matrix(p: E2Params, cutoff: int, tol: float = DEFAULT_TOL) -> TruncatedOp
     Z1^dagger Z1 reproduces the positive operator with parameters p
     exactly on the window.
     """
-    n = p.n
-    basis = _window_basis(n, cutoff)
-    root_lam = psd_sqrt(p.lam, tol)
-    gam = gamma_matrix(root_lam, cutoff, basis)
+    shape = _window_shape(p.n, cutoff)
+    gam = gamma_matrix(psd_sqrt(p.lam, tol), cutoff)
     # annihilation side: <m| exp(...) |t> = sqrt(t!/m!) f_{conj(A), conj(mu)}(t - m)
-    k = _creation_matrix(p.a.conj(), p.mu.conj(), basis)
+    k = _creation_matrix(p.a.conj(), p.mu.conj(), shape)
     mat = math.sqrt(p.c) * (gam @ k.T)
-    return TruncatedOperator(n, cutoff, tuple(basis), mat)
+    return TruncatedOperator(p.n, cutoff, shape.basis, mat)
 
 
 def general_truncate(p: GeneralE2Params, cutoff: int) -> TruncatedOperator:
@@ -517,14 +667,13 @@ def general_truncate(p: GeneralE2Params, cutoff: int) -> TruncatedOperator:
     left factor lowers, Gamma preserves and the right factor raises the
     particle number.
     """
-    n = p.n
-    basis = _window_basis(n, cutoff)
-    left = _creation_matrix(p.a, p.alpha, basis)
-    right = _creation_matrix(p.b, p.beta, basis)
-    gam = gamma_matrix(p.lam, cutoff, basis)
+    shape = _window_shape(p.n, cutoff)
+    left = _creation_matrix(p.a, p.alpha, shape)
+    right = _creation_matrix(p.b, p.beta, shape)
+    gam = gamma_matrix(p.lam, cutoff)
     mat = p.c * (left @ gam @ right.T)
     herm = None
     if p.is_self_adjoint(1e-12):
         mat = 0.5 * (mat + mat.conj().T)
         herm = True
-    return TruncatedOperator(n, cutoff, tuple(basis), mat, hermitian=herm)
+    return TruncatedOperator(p.n, cutoff, shape.basis, mat, hermitian=herm)

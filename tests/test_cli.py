@@ -2,7 +2,11 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -506,3 +510,21 @@ class TestGoldenOutput:
         assert code == 0
         assert hashlib.sha256(est.encode()).hexdigest() == \
             "14cf8c421509e5878f7aa6681f79421ef4b0616482030d2c2ffc32b70d6ba6d3"
+
+
+def test_cli_import_stays_light():
+    """`import gausskit.cli` loads no scipy and builds no window structure:
+    every CLI request pays for that import."""
+    probe = ("import sys\nimport gausskit.cli\nfrom gausskit import fock\n"
+             "caches = [f for f in vars(fock).values() if hasattr(f, 'cache_info')]\n"
+             "print(len(caches), sum(f.cache_info().currsize for f in caches),\n"
+             "      len(fock._PHI_TABLES), 'scipy' in sys.modules)\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    caches, filled, phi_tables, scipy = proc.stdout.split()
+    assert int(caches) >= 1
+    assert (int(filled), int(phi_tables), scipy) == (0, 0, "False")

@@ -156,7 +156,7 @@ def gamma_entry(lam, k, l) -> complex:
     """<k|Gamma(Lambda)|l> read from the window matrix."""
     lam = np.atleast_2d(lam)
     basis = basis_indices(lam.shape[0], max(sum(k), sum(l)))
-    gm = gamma_matrix(lam, max(sum(k), sum(l)), basis)
+    gm = gamma_matrix(lam, max(sum(k), sum(l)))
     return complex(gm[basis.index(tuple(k)), basis.index(tuple(l))])
 
 
@@ -183,7 +183,7 @@ class TestGammaEntries:
     def test_matrix_blocks(self, rng):
         lam = random_psd(rng, 2, 0.8)
         basis = basis_indices(2, 5)
-        gm = gamma_matrix(lam, 5, basis)
+        gm = gamma_matrix(lam, 5)
         for i, k in enumerate(basis):
             for j, l in enumerate(basis):
                 if sum(k) != sum(l):
@@ -282,6 +282,76 @@ class TestPreflight:
             dmf(zero, zero, 40)
         with pytest.raises(ValueError, match="dimension 9366819"):
             general_truncate(state_params(zero, zero, np.full(6, 0.1)).as_general(), 40)
+
+
+class TestIndexStructure:
+    """The per-(n, cutoff) structure caches: bounded, rebuilt bit for bit,
+    never shared with callers, and counted by the memory preflight."""
+
+    @staticmethod
+    def caches():
+        return [f for f in vars(fock).values() if hasattr(f, "cache_info")]
+
+    def test_bounded_and_rebuilt_bit_equal(self, rng):
+        p = random_state(rng, 2)
+        q = random_state(rng, 1, with_mean=False)
+        first = general_truncate(p.as_general(), 4).entries
+        first_dmf = dmf(q.a, q.lam, 5).entries
+        for cache in self.caches():
+            bound = cache.cache_info().maxsize
+            for cutoff in range(6, 6 + bound + 2):  # more one-mode shapes than the bound
+                general_truncate(state_params(q.a, q.lam, [0.3 - 0.1j]).as_general(), cutoff)
+                assert cache.cache_info().currsize <= bound
+        misses = fock._shape.cache_info().misses
+        again = general_truncate(p.as_general(), 4).entries
+        again_dmf = dmf(q.a, q.lam, 5).entries
+        assert fock._shape.cache_info().misses == misses + 2  # both shapes were rebuilt
+        assert again.tobytes() == first.tobytes()
+        assert again_dmf.tobytes() == first_dmf.tobytes()
+
+    def test_basis_indices_returns_a_new_list(self):
+        basis = basis_indices(2, 3)
+        want = list(basis)
+        basis[0] = (9, 9)
+        basis.append((7, 7))
+        assert basis_indices(2, 3) == want
+        assert dmf(np.zeros((2, 2)), np.zeros((2, 2)), 3).basis == tuple(want)
+
+    def test_preflight_counts_index_structure(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(fock, "check_memory", lambda nbytes, what: seen.append((nbytes, what)))
+        fock.check_window(2, 30)
+        fock.check_window(2, 30, square=False)
+        dim = math.comb(32, 2)
+        held = sum(x.nbytes for x in fock._shape(2, 30).pairs[:4])
+        assert seen[0][0] >= 16 * 4 * dim * dim + held
+        assert seen[1][0] >= 16 * dim + held
+        assert "index structure" in seen[0][1]
+
+    def test_refused_window_builds_no_structure(self):
+        fock._shape.cache_clear()
+        zero = np.zeros((6, 6))
+        with pytest.raises(ValueError, match="dimension 9366819"):
+            dmf(zero, zero, 40)
+        assert fock._shape.cache_info().currsize == 0
+
+
+class TestTupleLengths:
+    def test_phi_names_the_expected_length(self):
+        b = [[0.1, 0.02], [0.02, 0.05]]
+        with pytest.raises(ValueError, match="t must hold 2 occupation numbers"):
+            phi(b, (2,))
+        with pytest.raises(ValueError, match="t must hold 2 occupation numbers"):
+            phi(b, (2, 0, 0))
+
+    def test_matrix_element_names_the_expected_length(self, rng):
+        p = random_state(rng, 2, with_mean=False)
+        with pytest.raises(ValueError, match="t must hold 2 occupation numbers"):
+            matrix_element(p.a, p.lam, (1,), (1,))
+        with pytest.raises(ValueError, match="t must hold 2 occupation numbers"):
+            matrix_element(p.a, p.lam, (1, 0, 1), (1,))
+        with pytest.raises(ValueError, match="s must hold 2 occupation numbers"):
+            matrix_element(p.a, p.lam, (1, 0), (1,))
 
 
 class TestMatrixElement:
@@ -610,6 +680,9 @@ class TestWindowBytes:
         "dmf-4-4": "4db5659e395fcc713d840db243af0c9f1646a9bf40c3731b95a90840ac86eaf2",
         "gamma-4-4": "7b10e460cda91222b9dfd237ca9b5816633775bf0b831ffbd11ba90b8d0f7ab6",
         "six-tuple-4-3": "c233e400d35096c8abe4cc3bc160e513c764475bae00de9f9fa66bd76effaa40",
+        "gamma-4-9": "5d24fc4eeb1adeeffe91af1a544f2d53b98938e6b5c747b25c9b850615b5de37",
+        "dmf-5-7": "b71fbba7b209ca6940028b94e7e71552b7a4242509e5b521f18eb31acb9893cb",
+        "six-tuple-4-9": "49bfef6c619aac0cbf1ae7e5a294307156aabe741635f12f85020f12f764e340",
     }
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
