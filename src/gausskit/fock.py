@@ -129,26 +129,27 @@ class _Shape:
         return np.array(self.basis, dtype=np.int64).reshape(self.dim, self.n)
 
     @cached_property
-    def comb(self) -> np.ndarray:
-        """comb[a, b] = C(a, b) for a <= cutoff + n, b <= n."""
-        return np.array([[math.comb(a, b) for b in range(self.n + 1)]
-                         for a in range(self.cutoff + self.n + 1)], dtype=np.int64)
+    def count_upto(self) -> np.ndarray:
+        """count_upto[r, m] = C(r + m, m), the number of tuples over m modes
+        with |t| <= r, for r <= cutoff and m <= n (at most dim)."""
+        return np.array([[math.comb(r + m, m) for m in range(self.n + 1)]
+                         for r in range(self.cutoff + 1)], dtype=np.int64)
 
     def index_of(self, occ: np.ndarray) -> np.ndarray:
         """Basis index of each row of `occ` (occupations with |t| <= cutoff).
 
-        Tuples of lower degree come first: C(n + |t| - 1, n) of them.  Within
-        degree d, the tuples before t are those that agree with t on modes
-        < j and hold fewer than t_j in mode j; for each j they number
-        C(r_j + m, m) - C(r_j - t_j + m, m), with m = n - 1 - j modes left
-        and r_j = d - t_0 - ... - t_(j-1).
+        The tuples before t of degree d are the count_upto[d - 1, n] of lower
+        degree, and, for each mode j < n - 1, those of degree d that agree
+        with t on the modes before j and hold fewer than t_j in mode j:
+        count_upto[r, m] - count_upto[r - t_j, m], with m = n - 1 - j modes
+        after j and r = d - t_0 - ... - t_(j-1).
         """
-        n, comb = self.n, self.comb
+        n, count = self.n, self.count_upto
         rem = occ.sum(axis=1)
-        index = comb[rem + n - 1, n]
+        index = np.where(rem > 0, count[rem - 1, n], 0)
         for j in range(n - 1):
             m = n - 1 - j
-            index += comb[rem + m, m] - comb[rem - occ[:, j] + m, m]
+            index += count[rem, m] - count[rem - occ[:, j], m]
             rem = rem - occ[:, j]
         return index
 
@@ -164,8 +165,7 @@ class _Shape:
         occ = self.occupations
         # s = basis[i] pairs with every d = t - s of degree <= cutoff - |s|,
         # a prefix of the graded basis
-        counts = np.array([math.comb(self.n + self.cutoff - d, self.n)
-                           for d in occ.sum(axis=1).tolist()], dtype=np.int64)
+        counts = self.count_upto[self.cutoff - occ.sum(axis=1), self.n]
         cols = np.repeat(np.arange(self.dim), counts)
         diffs = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
         t = occ[cols] + occ[diffs]
@@ -554,7 +554,7 @@ def _coefficients(b: np.ndarray, mu: np.ndarray, shape: _Shape) -> np.ndarray:
     rows, cols, diffs, _, runs = shape.pairs
     first = runs[0][1]
     k, r = cols[first:], diffs[first:]
-    ar, ai = mr[k] * inv_fact[k], mi[k] * inv_fact[k]
+    ar, ai = (mr * inv_fact)[k], (mi * inv_fact)[k]
     br, bi = phi_b.real[r], phi_b.imag[r]
     inv_root = (1.0 / shape.sqrt_fact)[r]
     terms = _complex((ar * br - ai * bi) * inv_root, (ar * bi + ai * br) * inv_root)
