@@ -309,6 +309,11 @@ class TestIndexStructure:
         assert again.tobytes() == first.tobytes()
         assert again_dmf.tobytes() == first_dmf.tobytes()
 
+    def test_many_modes(self):
+        # C(2n, n) overflows int64 at n = 70; the ranking never needs more than dim
+        np.testing.assert_allclose(gamma_matrix(np.eye(70), 2), np.eye(math.comb(72, 2)),
+                                   rtol=0, atol=1e-15)
+
     def test_basis_indices_returns_a_new_list(self):
         basis = basis_indices(2, 3)
         want = list(basis)
