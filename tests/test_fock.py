@@ -635,9 +635,8 @@ def _window_case(name: str, rng) -> np.ndarray:
 
 
 class TestWindowBytes:
-    """sha256 of the entries of seeded windows, pinned before the window
-    kernel was rebuilt on cached index structure: every builder must keep
-    each state's arithmetic bit for bit."""
+    """sha256 of the entries of seeded windows from every window builder:
+    how the work is vectorized must not move a single bit."""
 
     DIGESTS = {
         "dmf-1-12": "cd97592f865b63a0303c959e984052d29bf4febd64d5aa17acaa70fb5b1ffd96",
