@@ -33,7 +33,6 @@ from .fock import (
     TruncatedVector,
     dmf,
     e_a_matrix,
-    enumerate_delta,
     general_truncate,
     matrix_element,
     phi,

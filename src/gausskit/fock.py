@@ -31,7 +31,6 @@ __all__ = [
     "basis_index_map",
     "check_memory",
     "check_window",
-    "enumerate_delta",
     "phi",
     "gamma_matrix",
     "e_a_matrix",
@@ -85,7 +84,7 @@ def _degree_indices(n: int, deg: int) -> list[tuple]:
 # cached; a state then costs a few numpy gathers over those index arrays.
 # Each entry is rounded exactly as the scalar evaluation of its formula in
 # Python complex numbers would round it (for finite values), so window
-# bytes do not depend on how the work is vectorized.  Three rules keep it so:
+# bytes do not depend on how the work is vectorized.  Four rules keep it so:
 # 1. numpy's complex x complex array multiply is a SIMD loop with fused
 #    multiply-adds and rounds differently from the scalar product, so a
 #    product of complex scalars is written out on float arrays:
@@ -99,6 +98,13 @@ def _degree_indices(n: int, deg: int) -> list[tuple]:
 #    broadcast operand, or one computed in place into a temporary operand
 #    (it does so for temporaries above 256 KiB), through another loop,
 #    which rounds the last bit differently.
+# 4. phi_B(t) takes B_ij^r as numpy scalar powers and multiplies them over
+#    R's nonzero cells in cell order from 1 (rule 1), scales each product by
+#    2^(|R| - tr R) times the rounded 1/R! (exact: a power of two), sums the
+#    terms in Delta(t)'s depth-first order from +0 and scales the sum by
+#    sqrt(t!).  A sum from +0 is never -0, so the scalar complex-by-real
+#    products, which differ from real scalings only in the sign of zero
+#    parts, round to the same values.
 
 _SHAPES = 16  # (n, cutoff) shapes whose index structure stays cached
 
@@ -152,6 +158,11 @@ class _Shape:
             index += count[rem, m] - count[rem - occ[:, j], m]
             rem = rem - occ[:, j]
         return index
+
+    @cached_property
+    def delta(self) -> tuple:
+        """Delta(t) for every t of the basis, as _delta lays it out."""
+        return _delta(self.occupations)
 
     @cached_property
     def pairs(self) -> tuple:
@@ -283,104 +294,89 @@ def basis_index_map(basis: list[tuple]) -> dict[tuple, int]:
 # Delta(t) and phi_B
 
 
-def enumerate_delta(t) -> list[tuple]:
-    """All upper-triangular nonnegative integer matrices R with r~(R) = t.
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    """Position of each entry of a sorted array among the entries equal to it."""
+    return np.arange(len(keys)) - np.searchsorted(keys, keys)
 
-    r~(R)_i counts row i from the diagonal on plus column i up to the
-    diagonal, so diagonal cells weigh twice.  Returned as tuples of row
-    tuples in a fixed depth-first order; empty when |t| is odd.
+
+def _delta(occ: np.ndarray) -> tuple:
+    """Delta(t) per row t of `occ`: the upper-triangular nonnegative integer
+    matrices R with r~(R) = t, where r~(R)_i sums row i from the diagonal on
+    and column i up to it, so diagonal cells count twice.
+
+    Built cell by cell in row-major upper-triangle order, each partial
+    matrix branching on the cell's value in ascending order, so each t's
+    matrices come out in depth-first order (`oracles.enumerate_delta`).
+    Returned for _phi: the (i, j, r) of each power B_ij^r used; per k, the
+    matrices with a k-th nonzero cell and the index of its power;
+    2^(|R| - tr R) / R! per matrix; and a width and each matrix's place in a
+    (len(occ), width) array: row t, column 1 + its rank in Delta(t).
     """
-    t = tuple(int(x) for x in t)
-    if any(x < 0 for x in t):
-        raise ValueError("occupation numbers must be nonnegative")
-    n = len(t)
-    if sum(t) % 2:
-        return []
-    cells = [(i, j) for i in range(n) for j in range(i, n)]
-    r = [[0] * n for _ in range(n)]
-    rem = list(t)
-    out: list[tuple] = []
-
-    def rec(ci: int) -> None:
-        if ci == len(cells):
-            out.append(tuple(tuple(row) for row in r))
-            return
-        i, j = cells[ci]
-        closes_row = j == n - 1  # no later cell touches index i
-        if i == j:
-            for v in range(rem[i] // 2 + 1):
-                if closes_row and rem[i] - 2 * v != 0:
+    n = occ.shape[1]
+    owner = np.flatnonzero(occ.sum(axis=1) % 2 == 0)  # Delta(t) is empty for odd |t|
+    rem = occ[owner].astype(np.int16)  # each t_j <= 170, or t! would overflow
+    steps = []
+    for i in range(n):
+        left = rem.any(axis=0).tolist()  # remainders only shrink: a spent index stays spent
+        for j in range(i, n):
+            weight = 1 + (i == j)  # of the cell in t_i
+            if j < n - 1:
+                if not (left[i] and left[j]):
                     continue
-                r[i][i] = v
-                rem[i] -= 2 * v
-                rec(ci + 1)
-                rem[i] += 2 * v
-            r[i][i] = 0
-        else:
-            for v in range(min(rem[i], rem[j]) + 1):
-                if closes_row and rem[i] - v != 0:
+                cap = np.minimum(rem[:, i], rem[:, j]) // weight
+                if not cap.any():
+                    continue  # every partial matrix takes 0 here
+                parent = np.repeat(np.arange(len(rem)), cap + 1)
+                v = _ranks(parent)
+            else:  # no later cell touches index i: this one takes what is left of t_i
+                if not left[i]:
                     continue
-                r[i][j] = v
-                rem[i] -= v
-                rem[j] -= v
-                rec(ci + 1)
-                rem[i] += v
-                rem[j] += v
-            r[i][j] = 0
-
-    rec(0)
-    return out
-
-
-class _PhiTable:
-    """phi_B values memoized per occupation tuple for one fixed B."""
-
-    def __init__(self, b: np.ndarray):
-        self.b = np.asarray(b, dtype=complex)
-        self.memo: dict[tuple, complex] = {}
-
-    def __call__(self, t: tuple) -> complex:
-        val = self.memo.get(t)
-        if val is None:
-            val = _phi_direct(self.b, t)
-            self.memo[t] = val
-        return val
-
-
-def _phi_direct(b: np.ndarray, t: tuple) -> complex:
-    total = 0.0 + 0.0j
-    for r in enumerate_delta(t):
-        term_num = 1
-        term_den = 1
-        coeff = 1.0 + 0.0j
-        tr = 0
-        size = 0
-        for i, row in enumerate(r):
-            for j in range(i, len(row)):
-                rij = row[j]
-                if rij:
-                    coeff *= b[i, j] ** rij
-                    term_den *= math.factorial(rij)
-                    size += rij
-                    if i == j:
-                        tr += rij
-        total += (2 ** (size - tr)) * coeff * (term_num / term_den)
-    return complex(math.sqrt(multi_factorial(t)) * total)
+                v = rem[:, i] // weight
+                parent = np.flatnonzero((weight * v == rem[:, i]) & (v <= rem[:, j]))
+                v = v[parent]
+            rem = rem[parent]
+            rem[:, i] -= v
+            rem[:, j] -= v
+            steps.append((i * n + j, parent, v))
+    # trace each finished matrix back through the steps to its nonzero cells
+    matrix = np.arange(len(rem))
+    entries = [(matrix[:0],) * 3]  # empty, so that no cells still concatenate
+    for ij, parent, v in reversed(steps):
+        val = v[matrix]
+        nz = val.nonzero()[0]
+        entries.append((np.full(len(nz), ij), nz, val[nz]))
+        matrix = parent[matrix]
+    ij, mats, val = (np.concatenate(x[::-1]) for x in zip(*entries))  # in cell order
+    top = int(val.max(initial=0)) + 1
+    codes, key = np.unique(ij * top + val, return_inverse=True)
+    den = np.ones(len(matrix), dtype=object)
+    np.multiply.at(den, mats, np.array([math.factorial(r) for r in range(top)], dtype=object)[val])
+    off_diag = np.bincount(mats, weights=val * (ij // n != ij % n), minlength=len(matrix))
+    order = np.argsort(mats, kind="stable")
+    slot = np.empty_like(mats)
+    slot[order] = _ranks(mats[order])  # k: the entry's place among its matrix's cells
+    owner = owner[matrix]
+    rank = _ranks(owner)
+    width = 2 + int(rank.max(initial=-1))
+    return ((codes // top // n, codes // top % n, codes % top),
+            [(mats[slot == k], key[slot == k]) for k in range(slot.max(initial=-1) + 1)],
+            np.ldexp((1 / den).astype(float), off_diag.astype(np.int64)),
+            width, owner * width + 1 + rank)
 
 
-_PHI_TABLES: dict[bytes, _PhiTable] = {}
-
-
-def _phi_table(b: np.ndarray) -> _PhiTable:
-    b = np.asarray(b, dtype=complex)
-    key = b.tobytes()
-    table = _PHI_TABLES.get(key)
-    if table is None:
-        if len(_PHI_TABLES) > 128:
-            _PHI_TABLES.clear()
-        table = _PhiTable(b)
-        _PHI_TABLES[key] = table
-    return table
+def _phi(b: np.ndarray, delta: tuple, sqrt_fact: np.ndarray) -> np.ndarray:
+    """phi_B(t) for every t that `delta` (from _delta) covers, given sqrt(t!),
+    rounded by rule 4."""
+    (pi, pj, pr), slots, scale, width, place = delta
+    pw = np.array([x ** r for x, r in zip(b[pi, pj], pr.tolist())], dtype=complex)
+    cr, ci = np.ones(len(scale)), np.zeros(len(scale))
+    for rows, key in slots:
+        xr, xi, yr, yi = cr[rows], ci[rows], pw.real[key], pw.imag[key]
+        cr[rows], ci[rows] = xr * yr - xi * yi, xr * yi + xi * yr
+    terms = np.zeros((2, len(sqrt_fact) * width))
+    terms[:, place] = cr * scale, ci * scale  # row t: +0, its terms in order, +0 padding
+    tr, ti = np.cumsum(terms.reshape(2, -1, width), axis=2)[:, :, -1]
+    return _complex(sqrt_fact * tr, sqrt_fact * ti)
 
 
 def phi(b, t) -> complex:
@@ -395,13 +391,16 @@ def phi(b, t) -> complex:
     if len(t) != b.shape[0]:
         raise ValueError(f"t must hold {b.shape[0]} occupation numbers, one per row of B; "
                          f"got {len(t)}")
-    return _phi_table(b)(t)
+    return _phi_entry(b, t)
 
 
-def _phi_values(b: np.ndarray, basis: tuple) -> np.ndarray:
-    """phi_B(t) for each t of the basis."""
-    table = _phi_table(b)
-    return np.array([table(t) for t in basis], dtype=complex)
+def _phi_entry(b: np.ndarray, t: tuple) -> complex:
+    if any(x < 0 for x in t):
+        raise ValueError("occupation numbers must be nonnegative")
+    if sum(t) % 2:
+        return 0j  # Delta(t) is empty
+    root = np.array([math.sqrt(multi_factorial(t))])  # OverflowError past t_j = 170
+    return complex(_phi(b, _delta(np.array([t], dtype=np.int64)), root)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +536,7 @@ def _coefficients(b: np.ndarray, mu: np.ndarray, shape: _Shape) -> np.ndarray:
     Each x adds its terms in `product` order over k, k = 0 first; the
     k = 0 term is phi_B(x) / sqrt(x!) divided part by part (rule 2).
     """
-    phi_b = _phi_values(b, shape.basis)
+    phi_b = _phi(b, shape.delta, shape.sqrt_fact)
     out = _complex(phi_b.real / shape.sqrt_fact, phi_b.imag / shape.sqrt_fact)
     if not np.any(mu):
         return out
@@ -615,7 +614,7 @@ def matrix_element(a, lam, t, s, tol: float = DEFAULT_TOL) -> complex:
     if not is_valid_state(a, lam, tol):
         raise InvalidStateError("(A, Lambda) is not a valid Gaussian state")
     q = np.block([[a, 0.5 * lam], [0.5 * lam.T, a.conj()]])
-    return complex(c_factor(a, lam, tol) * _phi_direct(q, t + s))
+    return complex(c_factor(a, lam, tol) * _phi_entry(q, t + s))
 
 
 def pure_state_vector(a, cutoff: int, tol: float = DEFAULT_TOL, mu=None) -> TruncatedVector:
@@ -633,7 +632,7 @@ def pure_state_vector(a, cutoff: int, tol: float = DEFAULT_TOL, mu=None) -> Trun
     zero = np.zeros((n, n))
     if not np.any(mu):
         root_c = math.sqrt(c_factor(a, zero, tol))
-        phi_a = _phi_values(a, shape.basis)
+        phi_a = _phi(a, shape.delta, shape.sqrt_fact)
         entries = _complex(root_c * phi_a.real, root_c * phi_a.imag)
     else:
         mu = np.asarray(mu, dtype=complex).reshape(-1)

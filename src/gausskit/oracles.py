@@ -1,7 +1,8 @@
 """Brute-force reference implementations for the test suite.
 
 Everything here favors obvious correctness over speed and stays off the
-public API: truncated polynomial arithmetic for series coefficients,
+public API: truncated polynomial arithmetic for series coefficients, the
+recursive enumeration of Delta(t) that fixes phi_B's summation order,
 numerical quadrature for the Gaussian integral, literal matrix
 exponentials of annihilation quadratics, partial traces by direct
 summation, a numerical coherent-state resolution of identity, and the
@@ -35,6 +36,7 @@ from .states import GaussianState
 
 __all__ = [
     "series_coefficient",
+    "enumerate_delta",
     "quadrature_gaussian",
     "annihilation_matrix",
     "truncated_exp_annihilation",
@@ -102,6 +104,60 @@ def series_coefficient(b, mu, t, degree_cap: int | None = None) -> complex:
                 poly[e] = poly.get(e, 0.0) + b[i, j]
     series = _poly_exp(poly, n, cap)
     return complex(series.get(t, 0.0) * math.sqrt(multi_factorial(t)))
+
+
+# ---------------------------------------------------------------------------
+# Delta(t) by depth-first recursion: the order of phi_B's sum, and so every
+# window's bytes, follows it
+
+
+def enumerate_delta(t) -> list[tuple]:
+    """All upper-triangular nonnegative integer matrices R with r~(R) = t.
+
+    r~(R)_i counts row i from the diagonal on plus column i up to the
+    diagonal, so diagonal cells weigh twice.  Returned as tuples of row
+    tuples in a fixed depth-first order; empty when |t| is odd.
+    """
+    t = tuple(int(x) for x in t)
+    if any(x < 0 for x in t):
+        raise ValueError("occupation numbers must be nonnegative")
+    n = len(t)
+    if sum(t) % 2:
+        return []
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    r = [[0] * n for _ in range(n)]
+    rem = list(t)
+    out: list[tuple] = []
+
+    def rec(ci: int) -> None:
+        if ci == len(cells):
+            out.append(tuple(tuple(row) for row in r))
+            return
+        i, j = cells[ci]
+        closes_row = j == n - 1  # no later cell touches index i
+        if i == j:
+            for v in range(rem[i] // 2 + 1):
+                if closes_row and rem[i] - 2 * v != 0:
+                    continue
+                r[i][i] = v
+                rem[i] -= 2 * v
+                rec(ci + 1)
+                rem[i] += 2 * v
+            r[i][i] = 0
+        else:
+            for v in range(min(rem[i], rem[j]) + 1):
+                if closes_row and rem[i] - v != 0:
+                    continue
+                r[i][j] = v
+                rem[i] -= v
+                rem[j] -= v
+                rec(ci + 1)
+                rem[i] += v
+                rem[j] += v
+            r[i][j] = 0
+
+    rec(0)
+    return out
 
 
 # ---------------------------------------------------------------------------

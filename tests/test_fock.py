@@ -14,7 +14,6 @@ from gausskit.fock import (
     basis_indices,
     dmf,
     e_a_matrix,
-    enumerate_delta,
     gamma_matrix,
     general_truncate,
     matrix_element,
@@ -25,6 +24,7 @@ from gausskit.fock import (
     z1_matrix,
 )
 from gausskit.oracles import (
+    enumerate_delta,
     gamma_entry_enumerated,
     mixing_kernel_element,
     series_coefficient,
@@ -64,29 +64,55 @@ class TestMultiIndex:
         assert basis.index((0, 2)) < basis.index((1, 1)) < basis.index((2, 0))
 
 
+def deltas(tuples) -> list[list[tuple]]:
+    """Delta(t) per tuple as fock._delta lays it out, each R as row tuples."""
+    occ = np.array(tuples, dtype=np.int64).reshape(len(tuples), -1)
+    (pi, pj, pr), slots, scale, width, place = fock._delta(occ)
+    mats = np.zeros((len(scale), occ.shape[1], occ.shape[1]), dtype=np.int64)
+    for rows, key in slots:
+        mats[rows, pi[key], pj[key]] = pr[key]
+    out = [[] for _ in tuples]
+    for at, r in sorted(zip(place.tolist(), mats.tolist())):  # by t, then summation order
+        out[at // width].append(tuple(map(tuple, r)))
+    return out
+
+
+def delta(t) -> list[tuple]:
+    return deltas([t])[0]
+
+
 class TestDelta:
     def test_one_mode(self):
-        assert enumerate_delta((4,)) == [((2,),)]
-        assert enumerate_delta((7,)) == []
+        assert delta((4,)) == [((2,),)]
+        assert delta((7,)) == []
 
     def test_two_mode_count(self):
         for k in range(4):
             for l in range(4):
-                assert len(enumerate_delta((2 * k, 2 * l))) == min(k, l) + 1
-                assert len(enumerate_delta((2 * k + 1, 2 * l + 1))) == min(k, l) + 1
+                assert len(delta((2 * k, 2 * l))) == min(k, l) + 1
+                assert len(delta((2 * k + 1, 2 * l + 1))) == min(k, l) + 1
 
     def test_odd_total_empty(self):
-        assert enumerate_delta((1, 2)) == []
-        assert enumerate_delta((3, 0, 2)) == []
+        assert delta((1, 2)) == []
+        assert delta((3, 0, 2)) == []
 
     def test_row_column_sums(self):
-        for r in enumerate_delta((2, 3, 1)):
+        for r in delta((2, 3, 1)):
             arr = np.array(r)
             tilde = arr.sum(axis=0) + arr.sum(axis=1)
             np.testing.assert_array_equal(tilde, [2, 3, 1])
 
     def test_deterministic_order(self):
-        assert enumerate_delta((2, 2)) == enumerate_delta((2, 2))
+        assert delta((2, 2)) == delta((2, 2))
+
+    def test_oracle_order(self, rng):
+        # phi_B sums in this order, so window bytes depend on it; the tuples
+        # are enumerated together, as a window's basis is
+        for n in range(1, 7):
+            tuples = [tuple(int(x) for x in rng.multinomial(rng.integers(0, 9), [1 / n] * n))
+                      for _ in range(10)] + [(0,) * n, (1,) + (0,) * (n - 1)]
+            assert any(sum(t) % 2 for t in tuples)
+            assert deltas(tuples) == [enumerate_delta(t) for t in tuples]
 
 
 class TestPhi:
@@ -313,6 +339,22 @@ class TestIndexStructure:
         # C(2n, n) overflows int64 at n = 70; the ranking never needs more than dim
         np.testing.assert_allclose(gamma_matrix(np.eye(70), 2), np.eye(math.comb(72, 2)),
                                    rtol=0, atol=1e-15)
+
+    def test_many_modes_state_vector(self, rng):
+        # Delta(t) is enumerated without recursion, however many cells B has
+        n = 70
+        a = random_symmetric(rng, n, 0.3)
+        root_c = math.sqrt(c_factor(a, np.zeros((n, n))))
+        want = {(0,) * n: 1.0}
+        for j in range(n):
+            for k in range(j, n):
+                t = [0] * n
+                t[j] += 1
+                t[k] += 1
+                want[tuple(t)] = math.sqrt(2) * a[j, j] if j == k else 2 * a[j, k]
+        vec = pure_state_vector(a, 2)
+        expected = np.array([root_c * want.get(t, 0.0) for t in vec.basis])
+        np.testing.assert_allclose(vec.entries, expected, rtol=1e-15, atol=0)
 
     def test_basis_indices_returns_a_new_list(self):
         basis = basis_indices(2, 3)
@@ -694,4 +736,62 @@ class TestWindowBytes:
         rng = np.random.default_rng([19, *name.encode()])
         entries = _window_case(name, rng)
         assert entries.dtype == complex and entries.flags.c_contiguous
+        assert hashlib.sha256(entries.tobytes()).hexdigest() == self.DIGESTS[name]
+
+
+def _entry_case(name: str, rng) -> np.ndarray:
+    """Seeded single entries; `name` is kind-modes.  phi reads take twelve
+    tuples with |t| <= 10, odd totals included; element reads are
+    matrix_element at |t|, |s| <= 4, or one read with |t| + |s| = 6 at six
+    modes."""
+    kind, n = name.rsplit("-", 1)
+    n = int(n)
+    if kind == "element":
+        p = random_state(rng, n, with_mean=False)
+        reads = []
+        for _ in range(1 if n == 6 else 9):
+            if n == 6:
+                t, s = (rng.multinomial(3, [1 / n] * n) for _ in range(2))
+            else:
+                t, s = (rng.multinomial(rng.integers(0, 5), [1 / n] * n) for _ in range(2))
+            reads.append(matrix_element(p.a, p.lam, tuple(map(int, t)), tuple(map(int, s))))
+        return np.array(reads)
+    b = random_symmetric(rng, n, 0.3)
+    if kind == "phi-real":
+        b = b.real
+    elif kind == "phi-zeros":  # exact zeros on the diagonal and in the corner
+        b[0, 0] = 0.0
+        b[0, -1] = b[-1, 0] = 0.0
+    tuples = [rng.multinomial(rng.integers(0, 11), [1 / n] * n) for _ in range(12)]
+    return np.array([phi(b, tuple(map(int, t))) for t in tuples])
+
+
+class TestEntryBytes:
+    """sha256 of seeded phi values and matrix_element reads: how the sum
+    over Delta(t) is enumerated and vectorized must not move a single bit."""
+
+    DIGESTS = {
+        "phi-1": "fefba06f1d99e5133cee2670c955b73046da6eaece1118aa385ff34eee97a406",
+        "phi-2": "f3575cdecde82705de72f85f227cb95fca45c0e6e323420f4883649d1922adc5",
+        "phi-3": "9bdab80e5941689ef2ab0f4e8670b185097b9ee9f7be0a408254e9dd867e5fda",
+        "phi-4": "674415245dc6ebd7a7dec25002bf587e5a4e37fddc37ac47533169ad92b8ca26",
+        "phi-real-1": "13aa44840ae5e70d69a241411ab2857875c101fc3a0bd814c4b48dc7ee5fb74d",
+        "phi-real-2": "97af137711feeab82050339a5cfa42f8e39ef337ec7b82f75d7340505039c49c",
+        "phi-real-3": "792253b8165a959e684a1e8d745b2ea8c0c8ce0c4dac6990173db0d630febc72",
+        "phi-real-4": "73c3cfdb67853518360a6c49d5e1512605d8a42e98a5f344b6a80ef994e389a6",
+        "phi-zeros-1": "338678c7d7dfecef5642c776db00072fb9ed008074e76c6f34db90292567f5dd",
+        "phi-zeros-2": "5d89f056865052bcb89c910d2d62872e029fb273c3db03f8968a52a41593c1b5",
+        "phi-zeros-3": "9c1975bf23e1d7ae615b747011eb5d2a5225693d5fe2835cf311360012c99ebd",
+        "phi-zeros-4": "f0f7f65e4c0836f5c2cdf0960c0861720ecadea308473051a701f77798c1654d",
+        "element-1": "622733f1b07de2f615d175ee00718407bab63c131780080cc6f99aa209264260",
+        "element-2": "0c2d87e5d90df1c03fdbdd39623248cb7b198a82d5366d2e6ff927dbe64dec74",
+        "element-3": "ec512355722b33dae76017fce613cc13531d7cfb0fa00f58633e1c2237b21a33",
+        "element-6": "299fd1c1a23c8f55003cd7dbdc764e2cb0e139d174ea34ca5cfaef538c3c2a69",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_entries_bytes(self, name):
+        rng = np.random.default_rng([20, *name.encode()])
+        entries = _entry_case(name, rng)
+        assert entries.dtype == complex
         assert hashlib.sha256(entries.tobytes()).hexdigest() == self.DIGESTS[name]

@@ -6,7 +6,8 @@ brute-force reference:
 - core.gaussian_integral       <- quadrature_gaussian (test_core, here)
 - core.takagi                  <- reconstruction + numpy SVD singular values (test_core)
 - params e2<->cov conversions  <- tr(rho W(z)) from truncated operators (test_params)
-- fock.phi / enumerate_delta   <- series_coefficient (test_fock, acceptance 3)
+- fock.phi                     <- series_coefficient (test_fock, acceptance 3)
+- fock._delta (Delta(t) order) <- enumerate_delta (test_fock)
 - fock.e_a_matrix              <- truncated_exp_annihilation (test_fock)
 - fock.gamma_matrix            <- gamma_entry_enumerated (test_fock)
 - fock.dmf                     <- z1_matrix product, general_truncate, mixing kernel
