@@ -19,10 +19,9 @@ import numpy as np
 
 from . import io
 from .config import DEFAULT_CUTOFF, DEFAULT_SEED, DEFAULT_TOL
-from .core import is_positive_definite, m_matrix
 from .errors import GausskitError
 from .fock import dmf, general_truncate, pure_state_vector
-from .params import CovarianceParams, E2Params, cov_to_e2, is_normalized
+from .params import CovarianceParams, E2Params, cov_to_e2, is_normalized, m_spectrum
 from .states import (
     GaussianState,
     characteristic_function,
@@ -165,10 +164,9 @@ def _cmd_validate(args) -> int:
             _emit(io.dumps({"valid": False, "form": "covariance"}))
             return _INVALID_EXIT
         params = cov_to_e2(params, args.tol)
-    m = m_matrix(params.a, params.lam, args.tol)
-    min_eig = float(np.linalg.eigvalsh(m)[0])
-    valid = is_positive_definite(m, args.tol) and is_normalized(params, args.tol)
-    _emit(io.dumps({"valid": bool(valid), "min_eig_M": min_eig}))
+    _, evals, positive = m_spectrum(params.a, params.lam, args.tol)
+    valid = positive and is_normalized(params, args.tol)
+    _emit(io.dumps({"valid": bool(valid), "min_eig_M": float(evals[0])}))
     return 0 if valid else _INVALID_EXIT
 
 
@@ -248,11 +246,12 @@ def _cmd_tomo_estimate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="gausskit", description="Gaussian-state toolkit")
+    # no abbreviated flags: `--cut` or `--to` is an error, not --cutoff or --tol
+    parser = _Parser(prog="gausskit", description="Gaussian-state toolkit", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, handler, help):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(handler=handler)
         return p
 

@@ -9,8 +9,9 @@ class InvalidStateError(GausskitError, ValueError):
     """(A, Lambda, mu) fail the Gaussian-state validity criterion M(A, Lambda) > 0."""
 
 
-class NotTraceClassError(GausskitError, ValueError):
-    """Positive-operator parameters with M(A, Lambda) not strictly positive."""
+class NotTraceClassError(InvalidStateError):
+    """Positive-operator parameters with M(A, Lambda) not strictly positive,
+    so not trace class and no state."""
 
 
 class NonComposableError(GausskitError, ValueError):

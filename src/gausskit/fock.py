@@ -2,10 +2,11 @@
 
 The basis over n modes with cutoff N is every occupation tuple t with
 |t| <= N in graded lexicographic order (by |t|, then lex).  In that
-order the creation-side matrix E_A is lower triangular and second
-quantizations are block diagonal, so the density-matrix factorization
-c(A, Lambda) E_A Gamma(Lambda) E_A^dagger is exact entrywise on the
-window (no truncation error inside the window).
+order creation-side matrices are lower triangular and second
+quantizations are block diagonal, so every operator window, which
+general_truncate builds from a 6-tuple (c, alpha, beta, A, Lambda, B) as
+c E_left Gamma(Lambda) E_right^T, is exact entrywise (no truncation error
+inside the window).  dmf and z1_matrix name their 6-tuples.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ import numpy as np
 
 from . import io
 from .config import DEFAULT_TOL
-from .core import c_factor
 from .errors import InvalidStateError
-from .params import E2Params, GeneralE2Params, is_valid_state, normalization_c
+from .params import E2Params, GeneralE2Params, normalization_c
 
 __all__ = [
     "multi_factorial",
@@ -105,6 +105,10 @@ def _degree_indices(n: int, deg: int) -> list[tuple]:
 #    sqrt(t!).  A sum from +0 is never -0, so the scalar complex-by-real
 #    products, which differ from real scalings only in the sign of zero
 #    parts, round to the same values.
+# 5. general_truncate scales the unnamed product, c * (X @ E_right^T), which
+#    numpy computes in place into that temporary above 256 KiB.  Scaling a
+#    named array (mat = c * mat, mat *= c, np.multiply(c, mat, out=mat))
+#    runs another loop and moves pinned bytes.
 
 _SHAPES = 16  # (n, cutoff) shapes whose index structure stays cached
 
@@ -244,7 +248,7 @@ def basis_indices(n: int, cutoff: int) -> list[tuple]:
 
 
 _MAX_CUTOFF = 170  # 171! overflows a double, and the window scales rows by sqrt(t!)
-_LIVE_MATRICES = 4  # dim x dim complex arrays a window build holds at once
+_LIVE_MATRICES = 4  # dim x dim complex arrays budgeted per window: general_truncate holds 3
 _PAIR_BYTES = 128  # per pair s <= t: its cached index arrays and one state's temporaries
 
 
@@ -581,20 +585,17 @@ def e_a_matrix(a, cutoff: int) -> TruncatedOperator:
 
 
 def dmf(a, lam, cutoff: int, tol: float = DEFAULT_TOL) -> TruncatedOperator:
-    """Density matrix formula: c(A, Lambda) E_A Gamma(Lambda) E_A^dagger.
+    """Density matrix of the mean-zero state (A, Lambda) on the window.
 
-    Mean-zero states only; exact entrywise on the truncated window.
+    The window of the 6-tuple (c(A, Lambda), 0, 0, A, Lambda, conj(A)),
+    so c(A, Lambda) E_A Gamma(Lambda) E_A^dagger; exact entrywise.
     """
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     lam = np.atleast_2d(np.asarray(lam, dtype=complex))
-    if not is_valid_state(a, lam, tol):
-        raise InvalidStateError("(A, Lambda) is not a valid Gaussian state")
-    shape = _window_shape(a.shape[0], cutoff)
-    e_a = _creation_matrix(a, None, shape)
-    gam = gamma_matrix(lam, cutoff)
-    rho = c_factor(a, lam, tol) * (e_a @ gam @ e_a.conj().T)
-    rho = 0.5 * (rho + rho.conj().T)
-    return TruncatedOperator(shape.n, cutoff, shape.basis, rho, hermitian=True)
+    zero = np.zeros(a.shape[0])
+    c = normalization_c(zero, a, lam, tol)  # checks Lambda hermitian to tol, then M > 0
+    lam = 0.5 * (lam + lam.conj().T)  # so that the tuple is self-adjoint and the window hermitian
+    return general_truncate(GeneralE2Params(c, zero, zero, a, lam, a.conj()), cutoff)
 
 
 def matrix_element(a, lam, t, s, tol: float = DEFAULT_TOL) -> complex:
@@ -611,10 +612,9 @@ def matrix_element(a, lam, t, s, tol: float = DEFAULT_TOL) -> complex:
         if len(x) != a.shape[0]:
             raise ValueError(f"{name} must hold {a.shape[0]} occupation numbers, one per mode; "
                              f"got {len(x)}")
-    if not is_valid_state(a, lam, tol):
-        raise InvalidStateError("(A, Lambda) is not a valid Gaussian state")
+    c = normalization_c(np.zeros(a.shape[0]), a, lam, tol)
     q = np.block([[a, 0.5 * lam], [0.5 * lam.T, a.conj()]])
-    return complex(c_factor(a, lam, tol) * _phi_entry(q, t + s))
+    return complex(c * _phi_entry(q, t + s))
 
 
 def pure_state_vector(a, cutoff: int, tol: float = DEFAULT_TOL, mu=None) -> TruncatedVector:
@@ -631,7 +631,7 @@ def pure_state_vector(a, cutoff: int, tol: float = DEFAULT_TOL, mu=None) -> Trun
     shape = _window_shape(n, cutoff, square=False)
     zero = np.zeros((n, n))
     if not np.any(mu):
-        root_c = math.sqrt(c_factor(a, zero, tol))
+        root_c = math.sqrt(normalization_c(np.zeros(n), a, zero, tol))
         phi_a = _phi(a, shape.delta, shape.sqrt_fact)
         entries = _complex(root_c * phi_a.real, root_c * phi_a.imag)
     else:
@@ -647,30 +647,28 @@ def pure_state_vector(a, cutoff: int, tol: float = DEFAULT_TOL, mu=None) -> Trun
 def z1_matrix(p: E2Params, cutoff: int, tol: float = DEFAULT_TOL) -> TruncatedOperator:
     """Matrix of Z1 = sqrt(c) Gamma(sqrt(Lambda)) exp(conj(mu)^T a + a^T conj(A) a).
 
-    Z1^dagger Z1 reproduces the positive operator with parameters p
-    exactly on the window.
+    The window of the 6-tuple (sqrt(c), 0, conj(mu), 0, sqrt(Lambda),
+    conj(A)); Z1^dagger Z1 reproduces the positive operator with
+    parameters p exactly on the window.
     """
-    shape = _window_shape(p.n, cutoff)
-    gam = gamma_matrix(psd_sqrt(p.lam, tol), cutoff)
-    # annihilation side: <m| exp(...) |t> = sqrt(t!/m!) f_{conj(A), conj(mu)}(t - m)
-    k = _creation_matrix(p.a.conj(), p.mu.conj(), shape)
-    mat = math.sqrt(p.c) * (gam @ k.T)
-    return TruncatedOperator(p.n, cutoff, shape.basis, mat)
+    return general_truncate(GeneralE2Params(math.sqrt(p.c), np.zeros(p.n), p.mu.conj(),
+                                            np.zeros((p.n, p.n)), psd_sqrt(p.lam, tol),
+                                            p.a.conj()), cutoff)
 
 
 def general_truncate(p: GeneralE2Params, cutoff: int) -> TruncatedOperator:
     """Window matrix of any 6-tuple element: entries <r|Z|s> from its power series.
 
-    Assembled as c * E_left Gamma(Lambda) E_right^T with E_left built from
-    (A, alpha) and E_right from (B, beta); exact on the window because the
-    left factor lowers, Gamma preserves and the right factor raises the
-    particle number.
+    Assembled as c * (E_left Gamma(Lambda)) E_right^T with E_left built
+    from (A, alpha) and E_right from (B, beta); exact on the window because
+    the left factor lowers, Gamma preserves and the right factor raises the
+    particle number.  Built in that order, at most three dense dim x dim
+    arrays are alive at once.
     """
     shape = _window_shape(p.n, cutoff)
-    left = _creation_matrix(p.a, p.alpha, shape)
-    right = _creation_matrix(p.b, p.beta, shape)
-    gam = gamma_matrix(p.lam, cutoff)
-    mat = p.c * (left @ gam @ right.T)
+    mat = _creation_matrix(p.a, p.alpha, shape) @ gamma_matrix(p.lam, cutoff)
+    # rule 5: c scales the unnamed product, in place
+    mat = p.c * (mat @ _creation_matrix(p.b, p.beta, shape).T)
     herm = None
     if p.is_self_adjoint(1e-12):
         mat = 0.5 * (mat + mat.conj().T)

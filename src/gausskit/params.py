@@ -16,8 +16,6 @@ import numpy as np
 from . import io
 from .config import DEFAULT_TOL
 from .core import (
-    c_factor,
-    is_positive_definite,
     is_positive_semidefinite,
     m_matrix,
     symplectic_form,
@@ -278,28 +276,43 @@ def _mu_split(mu: np.ndarray) -> np.ndarray:
     return np.concatenate([mu.real, mu.imag])
 
 
+def m_spectrum(a, lam, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, bool]:
+    """M(A, Lambda), its eigenvalues in ascending order, and whether M is
+    strictly positive by is_positive_definite's rule on those eigenvalues."""
+    m = m_matrix(a, lam, tol)
+    evals = np.linalg.eigvalsh(m)
+    return m, evals, bool(evals[0] > tol * (1.0 + max(abs(evals[0]), abs(evals[-1]))))
+
+
+def _positive_m(a, lam, tol: float, error: type) -> tuple[np.ndarray, float]:
+    """M(A, Lambda) and sqrt(det M) from one eigendecomposition; `error`
+    unless M is strictly positive.  With every eigenvalue positive, c_factor's
+    clip at zero does nothing, so this is its value bit for bit."""
+    m, evals, positive = m_spectrum(a, lam, tol)
+    if not positive:
+        raise error("M(A, Lambda) is not strictly positive")
+    return m, float(np.sqrt(np.prod(evals)))
+
+
 def is_valid_state(a, lam, tol: float = DEFAULT_TOL) -> bool:
     """True iff M(A, Lambda) is strictly positive definite."""
-    return is_positive_definite(m_matrix(a, lam, tol), tol)
+    return m_spectrum(a, lam, tol)[2]
 
 
 def normalization_c(mu, a, lam, tol: float = DEFAULT_TOL) -> float:
-    """The value of c making (c, mu, A, Lambda) a unit-trace state."""
-    m = m_matrix(a, lam, tol)
-    if not is_positive_definite(m, tol):
-        raise InvalidStateError("M(A, Lambda) is not strictly positive")
+    """The value of c making (c, mu, A, Lambda) a unit-trace state; for
+    mu = 0 it is c(A, Lambda) = sqrt(det M(A, Lambda))."""
+    m, root_det = _positive_m(a, lam, tol, InvalidStateError)
     mu = np.asarray(mu, dtype=complex).reshape(-1)
     quad = _mu_split(mu) @ np.linalg.solve(m, _mu_split(mu))
-    return float(c_factor(a, lam, tol) * np.exp(-quad))
+    return float(root_det * np.exp(-quad))
 
 
 def trace_of_positive(p: E2Params, tol: float = DEFAULT_TOL) -> float:
     """Trace of the positive operator with parameters p; finite iff M > 0."""
-    m = m_matrix(p.a, p.lam, tol)
-    if not is_positive_definite(m, tol):
-        raise NotTraceClassError("M(A, Lambda) not strictly positive: not trace class")
+    m, root_det = _positive_m(p.a, p.lam, tol, NotTraceClassError)
     quad = _mu_split(p.mu) @ np.linalg.solve(m, _mu_split(p.mu))
-    return float(p.c / c_factor(p.a, p.lam, tol) * np.exp(quad))
+    return float(p.c / root_det * np.exp(quad))
 
 
 def is_normalized(p: E2Params, tol: float = DEFAULT_TOL) -> bool:
@@ -318,8 +331,6 @@ def state_params(a, lam, mu=None, tol: float = DEFAULT_TOL) -> E2Params:
     n = a.shape[0]
     if mu is None:
         mu = np.zeros(n, dtype=complex)
-    if not is_valid_state(a, lam, tol):
-        raise InvalidStateError("(A, Lambda) do not satisfy M(A, Lambda) > 0")
     return E2Params(normalization_c(mu, a, lam, tol), mu, a, lam)
 
 
@@ -356,9 +367,7 @@ def cov_to_e2(cov: CovarianceParams, tol: float = DEFAULT_TOL) -> E2Params:
 def e2_to_cov(p: E2Params, tol: float = DEFAULT_TOL) -> CovarianceParams:
     """(m, S) from the quadruple; requires validity M(A, Lambda) > 0."""
     n = p.n
-    m_plus = m_matrix(p.a, p.lam, tol)
-    if not is_positive_definite(m_plus, tol):
-        raise InvalidStateError("M(A, Lambda) is not strictly positive")
+    m_plus, _ = _positive_m(p.a, p.lam, tol, InvalidStateError)
     m_minus = m_matrix(-p.a, p.lam, tol)
     s = np.linalg.inv(m_minus) - 0.5 * np.eye(2 * n)
     mtilde = np.linalg.solve(m_plus, _mu_split(p.mu))

@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .core import SymplecticMap, det_invsqrt_branch, m_matrix
+from .core import SymplecticMap, det_invsqrt_branch
 from .errors import InvalidStateError, NonComposableError
-from .params import E2Params, GeneralE2Params
+from .params import E2Params, GeneralE2Params, m_spectrum
 
 __all__ = [
     "identity_params",
@@ -175,9 +175,8 @@ def conjugate_by_weyl(p: E2Params, z) -> E2Params:
 
 def mean_of_state(p: E2Params, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Mean annihilation vector m solving (I - Lambda - 2AC) m = mu."""
-    m_mat = m_matrix(p.a, p.lam, tol)
-    evals = np.linalg.eigvalsh(m_mat)
-    if evals[0] <= tol * (1.0 + abs(evals[-1])):
+    m_mat, _, positive = m_spectrum(p.a, p.lam, tol)
+    if not positive:
         raise InvalidStateError("M(A, Lambda) is not strictly positive")
     mu_split = np.concatenate([p.mu.real, p.mu.imag])
     mt = np.linalg.solve(m_mat, mu_split)

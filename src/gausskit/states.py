@@ -25,7 +25,6 @@ from .params import (
     e2_to_cov,
     is_normalized,
     is_pure,
-    is_valid_state,
     state_params,
     trace_of_positive,
 )
@@ -54,8 +53,7 @@ class GaussianState:
     """Immutable n-mode Gaussian state, stored as E2 parameters."""
 
     def __init__(self, params: E2Params, tol: float = DEFAULT_TOL):
-        if not is_valid_state(params.a, params.lam, tol):
-            raise InvalidStateError("parameters fail M(A, Lambda) > 0")
+        # raises NotTraceClassError, an InvalidStateError, unless M(A, Lambda) > 0
         if not is_normalized(params, tol):
             tr = trace_of_positive(params, tol)
             raise InvalidStateError(f"parameters are not normalized: trace = {tr!r}")

@@ -232,6 +232,13 @@ class TestBoundary:
     def test_bad_config_one_line(self, capsys, smsv_file, flag, value):
         assert_one_line_error(capsys, "dmf", "--state", smsv_file, flag, value)
 
+    @pytest.mark.parametrize("command, flag, value", [("statevec", "--cut", "1"),
+                                                      ("convert", "--to", "cov")])
+    def test_abbreviated_flag_refused(self, capsys, smsv_file, command, flag, value):
+        # a prefix of a flag is no flag: --cut is not --cutoff, --to not --tol
+        err = assert_one_line_error(capsys, command, "--state", smsv_file, flag, value)
+        assert f"unrecognized arguments: {flag} {value}" in err
+
     @pytest.mark.parametrize("shots", ["0", "-5"])
     def test_simulate_rejects_nonpositive_shots(self, capsys, smsv_file, shots):
         err = assert_one_line_error(capsys, "tomo-simulate", "--state", smsv_file,

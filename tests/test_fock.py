@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,6 +290,25 @@ class TestDMF:
         with pytest.raises(InvalidStateError):
             dmf([[0.3]], [[0.5]], 4)
 
+    def test_nearly_hermitian_lambda_gives_hermitian_window(self, rng):
+        # Lambda hermitian to ~3e-12: inside tol, outside the 1e-12 self-adjointness test
+        p = random_state(rng, 2, with_mean=False)
+        lam = p.lam.copy()
+        lam[0, 1] += 3e-12
+        rho = dmf(p.a, lam, 6)
+        assert rho.hermitian is True
+        assert np.array_equal(rho.entries, rho.entries.conj().T)
+
+    def test_mixing_kernel_oracle(self, rng):
+        # oracles.mixing_kernel_element builds entries from phi_A and c(A, .) alone
+        for n, cutoff in ((1, 10), (2, 6)):
+            a = random_symmetric(rng, n, 0.14)
+            lam_vec = rng.uniform(0.05, 0.3, size=n)
+            rho = dmf(a, np.diag(lam_vec), cutoff)
+            for i, j in rng.integers(0, rho.dim, size=(30, 2)):
+                t, s = rho.basis[i], rho.basis[j]
+                assert abs(rho.entries[i, j] - mixing_kernel_element(a, lam_vec, t, s)) < 1e-12
+
 
 class TestPreflight:
     def test_cutoff_170_is_the_last_served(self):
@@ -308,6 +328,28 @@ class TestPreflight:
             dmf(zero, zero, 40)
         with pytest.raises(ValueError, match="dimension 9366819"):
             general_truncate(state_params(zero, zero, np.full(6, 0.1)).as_general(), 40)
+
+
+class TestWindowMemory:
+    """A window build holds no more dense dim x dim arrays than check_window
+    budgets for it (its shape's index structure is cached beforehand)."""
+
+    @pytest.mark.parametrize("n, cutoff", [(3, 12), (4, 9)])
+    def test_peak_within_preflight_budget(self, rng, n, cutoff):
+        zero, displaced = random_state(rng, n, with_mean=False), random_state(rng, n)
+        builds = {"dmf": lambda: dmf(zero.a, zero.lam, cutoff),
+                  "general_truncate": lambda: general_truncate(displaced.as_general(), cutoff)}
+        for build in builds.values():
+            build()
+        budget = fock._LIVE_MATRICES * 16 * fock._shape(n, cutoff).dim ** 2
+        for name, build in builds.items():
+            tracemalloc.start()
+            try:
+                build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= budget, f"{name}: {peak / budget:.2f} of the budget"
 
 
 class TestIndexStructure:
@@ -561,6 +603,17 @@ class TestGeneralTruncate:
         coh = np.exp(-abs(z) ** 2 / 2) * np.array(
             [z ** k / math.sqrt(math.factorial(k)) for k in range(21)])
         np.testing.assert_allclose(op.entries[:, 0], coh, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_six_tuple_against_series_oracle(self, rng, n):
+        # <t|Z|s> = c * sqrt(t! s!) [u^t v^s] exp(l^T x + x^T Q x), x = (u, v)
+        p = _six_tuple(rng, n)
+        q = np.block([[p.a, 0.5 * p.lam], [0.5 * p.lam.T, p.b]])
+        op = general_truncate(p, 4)
+        for i, j in rng.integers(0, op.dim, size=(12, 2)):
+            t, s = op.basis[i], op.basis[j]
+            want = p.c * series_coefficient(q, np.concatenate([p.alpha, p.beta]), t + s)
+            assert abs(op.entries[i, j] - want) < 1e-13
 
     def test_matches_dmf_for_states(self, rng):
         p = random_state(rng, 2, with_mean=False)

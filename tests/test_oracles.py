@@ -10,7 +10,13 @@ brute-force reference:
 - fock._delta (Delta(t) order) <- enumerate_delta (test_fock)
 - fock.e_a_matrix              <- truncated_exp_annihilation (test_fock)
 - fock.gamma_matrix            <- gamma_entry_enumerated (test_fock)
-- fock.dmf                     <- z1_matrix product, general_truncate, mixing kernel
+- fock.general_truncate        <- series_coefficient on the 2n-variable form of a
+                                  generic 6-tuple, closed forms (identity, Weyl operator,
+                                  coherent column)
+- fock.dmf                     <- mixing_kernel_element, closed-form one-mode entries
+                                  (it is general_truncate of its 6-tuple, so a comparison
+                                  with general_truncate checks only the tuple)
+- fock.z1_matrix               <- phi row and action formula; Z1^dagger Z1 = the window
 - fock.matrix_element          <- series_coefficient on the 2n-variable form, dmf window
 - fock.pure_state_vector       <- kb_resolution_check norm, closed-form families;
                                   with mu, v v^dagger vs the general_truncate window

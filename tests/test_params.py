@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from gausskit import io
+from gausskit import core, io, params
+from gausskit.cli import main
 from gausskit.core import is_positive_semidefinite, m_matrix, symplectic_form
 from gausskit.errors import InvalidStateError, NotTraceClassError
-from gausskit.fock import dmf
+from gausskit.fock import dmf, general_truncate, matrix_element
 from gausskit.params import (
     AmplitudeData,
     CovarianceParams,
@@ -22,6 +23,7 @@ from gausskit.params import (
     state_params,
     trace_of_positive,
 )
+from gausskit.states import GaussianState
 
 from conftest import random_state, random_symmetric, params6_diff
 
@@ -185,6 +187,46 @@ class TestTraceAndNormalization:
     def test_not_trace_class(self):
         with pytest.raises(NotTraceClassError):
             trace_of_positive(E2Params(1.0, [0.0], [[0.3]], [[0.6]]))
+
+    def test_not_trace_class_is_no_state(self):
+        # so that GaussianState needs only the trace to refuse M(A, Lambda) not > 0
+        assert issubclass(NotTraceClassError, InvalidStateError)
+        with pytest.raises(InvalidStateError):
+            GaussianState(E2Params(1.0, [0.0], [[0.3]], [[0.6]]))
+
+
+class TestOneCheckPerCall:
+    """Each call builds M(A, Lambda) and its eigenvalues once."""
+
+    @pytest.fixture
+    def m_calls(self, monkeypatch):
+        calls = []
+        build = core.m_matrix
+        for module in (core, params):
+            monkeypatch.setattr(module, "m_matrix",
+                                lambda *args, **kwargs: calls.append(1) or build(*args, **kwargs))
+        return calls
+
+    def test_library_calls(self, rng, m_calls):
+        p = random_state(rng, 2)
+        zero = random_state(rng, 2, with_mean=False)
+        for call in (lambda: GaussianState(p), lambda: state_params(p.a, p.lam, p.mu),
+                     lambda: dmf(zero.a, zero.lam, 3),
+                     lambda: matrix_element(zero.a, zero.lam, (1, 0), (0, 1))):
+            m_calls.clear()
+            call()
+            assert len(m_calls) == 1
+        m_calls.clear()
+        general_truncate(p.as_general(), 3)  # the stored c: no check at all
+        assert m_calls == []
+
+    def test_cli_window_request(self, rng, m_calls, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text(io.dumps(random_state(rng, 2, with_mean=False).to_json_dict()))
+        m_calls.clear()
+        assert main(["dmf", "--state", str(path), "--cutoff", "3"]) == 0
+        assert len(m_calls) == 2  # the state file's check, then dmf's c(A, Lambda)
+        capsys.readouterr()
 
 
 class TestAmplitudes:
