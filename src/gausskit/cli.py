@@ -21,7 +21,7 @@ from . import io
 from .config import DEFAULT_CUTOFF, DEFAULT_SEED, DEFAULT_TOL
 from .errors import GausskitError
 from .fock import dmf, general_truncate, pure_state_vector
-from .params import CovarianceParams, E2Params, cov_to_e2, is_normalized, m_spectrum
+from .params import CovarianceParams, E2Params, cov_to_e2, validity
 from .states import (
     GaussianState,
     characteristic_function,
@@ -164,9 +164,8 @@ def _cmd_validate(args) -> int:
             _emit(io.dumps({"valid": False, "form": "covariance"}))
             return _INVALID_EXIT
         params = cov_to_e2(params, args.tol)
-    _, evals, positive = m_spectrum(params.a, params.lam, args.tol)
-    valid = positive and is_normalized(params, args.tol)
-    _emit(io.dumps({"valid": bool(valid), "min_eig_M": float(evals[0])}))
+    valid, min_eig = validity(params, args.tol)
+    _emit(io.dumps({"valid": bool(valid), "min_eig_M": min_eig}))
     return 0 if valid else _INVALID_EXIT
 
 

@@ -15,7 +15,6 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -489,13 +488,9 @@ class _Window:
                 "entries": np.asarray(self.entries, dtype=complex).reshape(-1)}
 
     def to_csv(self) -> str:
-        axes = self.entries.ndim
-        cols = [f"{side}{j + 1}" for side in "ts"[:axes] for j in range(self.n)]
+        cols = [f"{side}{j + 1}" for side in "ts"[:self.entries.ndim] for j in range(self.n)]
         labels = [",".join(map(str, t)) for t in self.basis]
-        re, im = io.complex_texts(self.entries)
-        rows = zip(map(",".join, product(labels, repeat=axes)), re, im)
-        lines = [",".join(cols + ["re", "im"])] + [f"{k},{r},{i}" for k, r, i in rows]
-        return "\n".join(lines) + "\n"
+        return io.csv_table(cols + ["re", "im"], labels, self.entries)
 
 
 @dataclass(frozen=True)
@@ -595,7 +590,7 @@ def dmf(a, lam, cutoff: int, tol: float = DEFAULT_TOL) -> TruncatedOperator:
     zero = np.zeros(a.shape[0])
     c = normalization_c(zero, a, lam, tol)  # checks Lambda hermitian to tol, then M > 0
     lam = 0.5 * (lam + lam.conj().T)  # so that the tuple is self-adjoint and the window hermitian
-    return general_truncate(GeneralE2Params(c, zero, zero, a, lam, a.conj()), cutoff)
+    return _window(GeneralE2Params(c, zero, zero, a, lam, a.conj()), cutoff)
 
 
 def matrix_element(a, lam, t, s, tol: float = DEFAULT_TOL) -> complex:
@@ -665,6 +660,12 @@ def general_truncate(p: GeneralE2Params, cutoff: int) -> TruncatedOperator:
     particle number.  Built in that order, at most three dense dim x dim
     arrays are alive at once.
     """
+    return _window(p, cutoff)
+
+
+def _window(p: GeneralE2Params, cutoff: int) -> TruncatedOperator:
+    """general_truncate's body.  dmf calls it rather than general_truncate:
+    perfbench/spans.py traces both names, and a dmf build is one window."""
     shape = _window_shape(p.n, cutoff)
     mat = _creation_matrix(p.a, p.alpha, shape) @ gamma_matrix(p.lam, cutoff)
     # rule 5: c scales the unnamed product, in place

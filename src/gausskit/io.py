@@ -2,9 +2,15 @@
 
 Complex scalars are [re, im] pairs, complex vectors lists of pairs, and
 complex matrices row-major nested lists of pairs, so the files are
-unambiguous across languages.  Floats are emitted with 17 significant
-digits, which round-trips IEEE doubles exactly; the CSV writers use the
-same number text.
+unambiguous across languages.  A float's text is `_number`'s, "{:.17g}":
+17 significant digits, which round-trips IEEE doubles exactly.
+
+Scalars are formatted one at a time.  A complex ndarray (a Fock window's
+entries) goes through one array writer (`gausskit._writer`), which computes
+the same bytes as `_number` with elementwise numpy arithmetic, a block of
+entries at a time; it writes both the JSON pair lists of `dumps` and the
+rows of `csv_table`.  It is imported on the first array written, so a
+process that writes none does not compile it.
 """
 
 from __future__ import annotations
@@ -16,21 +22,53 @@ from typing import Any
 import numpy as np
 
 
-_number = "{:.17g}".format
+_number = "{:.17g}".format  # a float's text; the array writer reproduces it byte for byte
 
 
 def _non_finite(value) -> ValueError:
     return ValueError(f"cannot write {value!r}: the output holds a non-finite number")
 
 
-def complex_texts(values) -> tuple[list[str], list[str]]:
-    """Number texts of the real and of the imaginary parts, flattened row-major;
-    a ValueError on NaN or an infinity, which RFC 8259 JSON cannot hold."""
-    values = np.asarray(values, dtype=complex).reshape(-1)
+def _finite_pairs(values) -> np.ndarray:
+    """The real and imaginary part of each entry, row-major, as a (size, 2)
+    float array; a ValueError on NaN or an infinity, which RFC 8259 JSON
+    cannot hold."""
+    values = np.ascontiguousarray(values, dtype=complex).reshape(-1)
     finite = np.isfinite(values)
     if not finite.all():
         raise _non_finite(complex(values[~finite][0]))
-    return list(map(_number, values.real.tolist())), list(map(_number, values.imag.tolist()))
+    return values.view(np.float64).reshape(-1, 2)
+
+
+def _pair_list(values: np.ndarray) -> list[str]:
+    """dumps of a nonempty complex ndarray, in pieces: [re, im] pairs, nested
+    like the array."""
+    from . import _writer
+
+    pairs = _finite_pairs(values)
+    last, axes = len(pairs) - 1, values.ndim
+    spans = np.cumprod(values.shape[::-1])[::-1].tolist()  # entries per list at each depth
+    opens = _writer.lookup(["[" * c for c in range(axes + 1)],
+                           lambda i: sum(i % span == 0 for span in spans))
+    closes = _writer.lookup(["]" * c + ", " for c in range(axes + 1)] + ["]" * axes],
+                            lambda i: sum((i + 1) % span == 0 for span in spans) + (i == last))
+    return _writer.rows(len(pairs), [opens, b"[", _writer.numbers(pairs, b", "), b"]", closes])
+
+
+def csv_table(columns: list[str], labels: list[str], values) -> str:
+    """A CSV table of a complex array: the header line of `columns`, then one
+    line per entry, row-major, with the label of its index along each axis
+    and its real and imaginary parts.  A ValueError on NaN or an infinity."""
+    from . import _writer
+
+    values = np.asarray(values)
+    pairs = _finite_pairs(values)
+    fields = []
+    for axis, size in enumerate(values.shape):
+        step = math.prod(values.shape[axis + 1:])
+        fields += [_writer.lookup(labels, lambda i, step=step, size=size: i // step % size), b","]
+    rows = _writer.rows(len(pairs), fields + [_writer.numbers(pairs, b","), b"\n"])
+    return "".join([",".join(columns) + "\n", *rows])
 
 
 def complex_pair(z) -> list[float]:
@@ -92,29 +130,42 @@ def dumps(obj: Any) -> str:
     A complex ndarray is written as `complex_pair`s, nested like the array.
     Raises ValueError on NaN or an infinity, which RFC 8259 JSON cannot hold.
     """
-    return _render(obj)
+    out: list[str] = []
+    _render(obj, out)
+    return "".join(out)
 
 
-def _render(obj: Any) -> str:
+def _render(obj: Any, out: list[str]) -> None:
+    """Append the JSON text of obj to `out`, piece by piece, so that the
+    text is copied once, by dumps."""
     if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
         x = float(obj)
         if not math.isfinite(x):
             raise _non_finite(x)
-        return _number(x)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        items = [f"{json.dumps(str(k))}: {_render(v)}" for k, v in obj.items()]
-        return "{" + ", ".join(items) + "}"
-    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "c":
-        return "[" + ", ".join([f"[{r}, {i}]" for r, i in zip(*complex_texts(obj))]) + "]"
-    if isinstance(obj, (list, tuple, np.ndarray)):  # a complex matrix goes row by row
-        return "[" + ", ".join([_render(v) for v in obj]) + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        out.append(_number(x))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            out.append(f"{', ' if i else ''}{json.dumps(str(k))}: ")
+            _render(v, out)
+        out.append("}")
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "c" and obj.ndim and obj.size:
+        out.extend(_pair_list(obj))
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        out.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                out.append(", ")
+            _render(v, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 

@@ -32,6 +32,7 @@ __all__ = [
     "normalization_c",
     "trace_of_positive",
     "is_normalized",
+    "validity",
     "is_pure",
     "cov_to_e2",
     "e2_to_cov",
@@ -291,7 +292,11 @@ def _positive_m(a, lam, tol: float, error: type) -> tuple[np.ndarray, float]:
     m, evals, positive = m_spectrum(a, lam, tol)
     if not positive:
         raise error("M(A, Lambda) is not strictly positive")
-    return m, float(np.sqrt(np.prod(evals)))
+    return m, _root_det(evals)
+
+
+def _root_det(evals: np.ndarray) -> float:
+    return float(np.sqrt(np.prod(evals)))
 
 
 def is_valid_state(a, lam, tol: float = DEFAULT_TOL) -> bool:
@@ -308,16 +313,30 @@ def normalization_c(mu, a, lam, tol: float = DEFAULT_TOL) -> float:
     return float(root_det * np.exp(-quad))
 
 
-def trace_of_positive(p: E2Params, tol: float = DEFAULT_TOL) -> float:
-    """Trace of the positive operator with parameters p; finite iff M > 0."""
-    m, root_det = _positive_m(p.a, p.lam, tol, NotTraceClassError)
+def _trace(p: E2Params, m: np.ndarray, root_det: float) -> float:
     quad = _mu_split(p.mu) @ np.linalg.solve(m, _mu_split(p.mu))
     return float(p.c / root_det * np.exp(quad))
 
 
+def trace_of_positive(p: E2Params, tol: float = DEFAULT_TOL) -> float:
+    """Trace of the positive operator with parameters p; finite iff M > 0."""
+    return _trace(p, *_positive_m(p.a, p.lam, tol, NotTraceClassError))
+
+
+def _unit_trace(trace: float) -> bool:
+    return abs(trace - 1.0) <= 1e-8
+
+
 def is_normalized(p: E2Params, tol: float = DEFAULT_TOL) -> bool:
     """True iff the positive operator with parameters p has unit trace (to 1e-8)."""
-    return abs(trace_of_positive(p, tol) - 1.0) <= 1e-8
+    return _unit_trace(trace_of_positive(p, tol))
+
+
+def validity(p: E2Params, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
+    """Whether p is a state (M(A, Lambda) > 0 and unit trace) and the least
+    eigenvalue of M, both from one eigendecomposition of M."""
+    m, evals, positive = m_spectrum(p.a, p.lam, tol)
+    return positive and _unit_trace(_trace(p, m, _root_det(evals))), float(evals[0])
 
 
 def is_pure(p: E2Params, tol: float = DEFAULT_TOL) -> bool:

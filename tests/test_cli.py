@@ -520,18 +520,18 @@ class TestGoldenOutput:
 
 
 def test_cli_import_stays_light():
-    """`import gausskit.cli` loads no scipy and builds no window structure:
-    every CLI request pays for that import."""
+    """`import gausskit.cli` loads no scipy and no array writer and builds no
+    window structure: every CLI request pays for that import."""
     probe = ("import sys\nimport gausskit.cli\nfrom gausskit import fock\n"
              "caches = [f for f in vars(fock).values() if hasattr(f, 'cache_info')]\n"
              "print(len(caches), sum(f.cache_info().currsize for f in caches),\n"
-             "      'scipy' in sys.modules)\n")
+             "      'scipy' in sys.modules, 'gausskit._writer' in sys.modules)\n")
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    caches, filled, scipy = proc.stdout.split()
+    caches, filled, scipy, writer = proc.stdout.split()
     assert int(caches) >= 1
-    assert (int(filled), scipy) == (0, "False")
+    assert (int(filled), scipy, writer) == (0, "False", "False")

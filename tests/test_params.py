@@ -228,6 +228,14 @@ class TestOneCheckPerCall:
         assert len(m_calls) == 2  # the state file's check, then dmf's c(A, Lambda)
         capsys.readouterr()
 
+    def test_cli_validate_request(self, rng, m_calls, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text(io.dumps(random_state(rng, 2).to_json_dict()))
+        m_calls.clear()
+        assert main(["validate", "--state", str(path)]) == 0
+        assert len(m_calls) == 1  # min_eig_M, positivity and the trace from one M
+        capsys.readouterr()
+
 
 class TestAmplitudes:
     def test_vacuum_projector(self):
