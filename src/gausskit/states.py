@@ -17,7 +17,7 @@ import numpy as np
 from .config import DEFAULT_TOL
 from .core import takagi
 from .errors import InvalidStateError, UnsupportedStateError
-from .fock import TruncatedOperator, dmf, general_truncate
+from .fock import general_truncate
 from .params import (
     CovarianceParams,
     E2Params,
@@ -146,16 +146,9 @@ class NumberDistribution:
         return self.probs.get(tuple(int(x) for x in t), 0.0)
 
 
-def _window_matrix(state: GaussianState, cutoff: int) -> TruncatedOperator:
-    p = state.params
-    if np.any(p.mu):
-        return general_truncate(p.as_general(), cutoff)
-    return dmf(p.a, p.lam, cutoff, state.tol)
-
-
 def number_distribution(state: GaussianState, cutoff: int) -> NumberDistribution:
     """Diagonal of the window density matrix; mass deficit goes to `tail`."""
-    op = _window_matrix(state, cutoff)
+    op = general_truncate(state.params.as_general(), cutoff)
     diag = np.clip(op.entries.diagonal().real, 0.0, None)
     probs = {t: float(pr) for t, pr in zip(op.basis, diag)}
     return NumberDistribution(probs, max(0.0, 1.0 - float(diag.sum())))

@@ -1,25 +1,25 @@
 """Simulated tomography: projector batteries, sampling, and estimation.
 
-The battery consists of yes-no measurements built from the vacuum and the
-one- and two-particle basis vectors (and their +1/+i superpositions with
-the vacuum), plus one von Neumann measurement over the whole <=2-particle
-subspace.  The polarization identity turns the measured diagonal
-expectations into the off-diagonal brackets <u|rho|v> that determine the
-parameters, which are then recovered by back-substitution
-c -> alpha -> (A, Lambda).
+The battery holds yes-no measurements on the vacuum, the one- and
+two-particle basis vectors and their +1/+i superpositions with the vacuum,
+plus one von Neumann measurement over the <=2-particle subspace.  A spec is
+its kind and mode indices; a table keyed by kind gives its projectors
+a|u> + b|v> on the cutoff-2 basis, and every probability is read from one
+gather of the cutoff-2 window.  The polarization identity turns the
+measured diagonals into the brackets <u|rho|v> that determine the
+parameters, recovered by back-substitution c -> alpha -> (A, Lambda).
 
-Off-diagonal Lambda entries are a special case: the battery constrains
-them only through the two-particle von Neumann diagonals, one real
-equation per pair, so they are recovered as the minimum-modulus solution
-of that equation (exact when the true entry is the smallest solution,
-e.g. for diagonal Lambda).  Their standard errors are propagated
-numerically and are honest about the weak constraint.
+Off-diagonal Lambda entries are constrained only through the two-particle
+von Neumann diagonals, one real equation per complex entry, and are taken
+as its minimum-modulus solution.  That is exact only when the true entry is
+that solution (e.g. diagonal Lambda, as in criterion 10); on generic states
+the error far exceeds the reported standard error (ROADMAP item 3).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,16 +44,24 @@ __all__ = [
 
 _SQ2 = math.sqrt(2.0)
 _PROB_TOL = 1e-9  # rounding allowed outside [0, 1] in an exact outcome probability
+_SHOTS_TOL = 1e-9  # relative mismatch allowed between a measurement's counts and shots
 _SHOT_BYTES = 24  # per-shot sampling arrays: the uniforms, their bins, the clipped bins
 
+_H = 1 / _SQ2
+# kind -> (mode indices it takes, (a, b)): its projector is a|chi> + b|vac>,
+# chi the vacuum, chi_j or chi_jk; VN projects on each <=2-particle basis vector
+_KINDS = {"M0": (0, (1.0, 0.0)), "Mj": (1, (1.0, 0.0)), "VN": (0, (1.0, 0.0)),
+          "Mj0": (1, (_H, _H)), "Mj0'": (1, (_H, 1j * _H)),
+          "Mjk0": (2, (_H, _H)), "Mjk0'": (2, (_H, 1j * _H))}
 
-def _chi(n: int, j: int, k: int | None = None) -> tuple:
-    """Occupation tuple of chi_j (k=None) or chi_jk; 1-based mode labels."""
-    t = [0] * n
-    t[j - 1] += 1
-    if k is not None:
-        t[k - 1] += 1
-    return tuple(t)
+
+def _chi_index(n: int, j, k=None):
+    """Cutoff-2 basis index of chi_j (k None) or chi_jk, 1 <= j <= k <= n (or
+    integer arrays).  The basis is graded lexicographic: the vacuum, chi_n, ...,
+    chi_1, then chi_jk in blocks j = n, ..., 1, each ordered k = n, ..., j."""
+    if k is None:
+        return 1 + n - j
+    return 1 + 2 * n - k + (n - j) * (n - j + 1) // 2
 
 
 def vn_outcome_count(n: int) -> int:
@@ -80,22 +88,17 @@ def outcome_label(item, n: int) -> int:
 
 @dataclass(frozen=True)
 class MeasurementSpec:
-    """One measurement: a list of projector vectors plus the remainder outcome.
-
-    Each projector vector is a dict occupation-tuple -> coefficient in the
-    <=2-particle window.  Yes-no specs carry one vector (2 outcomes); the
-    VN spec carries N-1 orthonormal vectors (N outcomes).
-    """
+    """One measurement (build with make_spec): the projectors of its kind plus
+    the remainder outcome, so 2 outcomes for yes-no kinds and N for VN."""
 
     kind: str
     n: int
     j: int | None = None
     k: int | None = None
-    vectors: tuple = field(default=(), repr=False)
 
     @property
     def outcomes(self) -> int:
-        return len(self.vectors) + 1
+        return vn_outcome_count(self.n) if self.kind == "VN" else 2
 
     @property
     def name(self) -> str:
@@ -122,52 +125,19 @@ class MeasurementSpec:
         return make_spec(data["kind"], ints["n"], ints.get("j"), ints.get("k"))
 
 
-def _vn_vectors(n: int) -> tuple:
-    vecs = [{(0,) * n: 1.0 + 0.0j}]
-    for r in range(1, n + 1):
-        vecs.append({_chi(n, r): 1.0 + 0.0j})
-    for j in range(1, n + 1):
-        for k in range(j, n + 1):
-            vecs.append({_chi(n, j, k): 1.0 + 0.0j})
-    return tuple(vecs)
-
-
 def make_spec(kind: str, n: int, j: int | None = None, k: int | None = None) -> MeasurementSpec:
     """Construct a measurement of a given kind; indices are 1-based."""
     check_window(n, 2)  # every projector vector lives in the cutoff-2 window
-    if j is not None:
-        j = int(j)
-    if k is not None:
-        k = int(k)
-    vac = (0,) * n
-    if kind == "M0":
-        vectors = ({vac: 1.0 + 0.0j},)
-        j = k = None
-    elif kind == "VN":
-        vectors = _vn_vectors(n)
-        j = k = None
-    elif kind in ("Mj", "Mj0", "Mj0'"):
-        if j is None or not 1 <= j <= n:
-            raise ValueError(f"{kind} needs a mode index 1..n")
-        chi = _chi(n, j)
-        if kind == "Mj":
-            vectors = ({chi: 1.0 + 0.0j},)
-        elif kind == "Mj0":
-            vectors = ({chi: 1 / _SQ2, vac: 1 / _SQ2},)
-        else:
-            vectors = ({chi: 1 / _SQ2, vac: 1j / _SQ2},)
-        k = None
-    elif kind in ("Mjk0", "Mjk0'"):
-        if j is None or k is None or not 1 <= j <= k <= n:
-            raise ValueError(f"{kind} needs indices 1 <= j <= k <= n")
-        chi = _chi(n, j, k)
-        if kind == "Mjk0":
-            vectors = ({chi: 1 / _SQ2, vac: 1 / _SQ2},)
-        else:
-            vectors = ({chi: 1 / _SQ2, vac: 1j / _SQ2},)
-    else:
+    if kind not in _KINDS:
         raise ValueError(f"unknown measurement kind {kind!r}")
-    return MeasurementSpec(kind, n, j, k, vectors)
+    takes = _KINDS[kind][0]
+    j = int(j) if takes > 0 and j is not None else None
+    k = int(k) if takes > 1 and k is not None else None
+    if takes == 1 and (j is None or not 1 <= j <= n):
+        raise ValueError(f"{kind} needs a mode index 1..n")
+    if takes == 2 and (j is None or k is None or not 1 <= j <= k <= n):
+        raise ValueError(f"{kind} needs indices 1 <= j <= k <= n")
+    return MeasurementSpec(kind, n, j, k)
 
 
 def standard_battery(n: int) -> list[MeasurementSpec]:
@@ -177,52 +147,62 @@ def standard_battery(n: int) -> list[MeasurementSpec]:
     so no separate Mj specs are emitted; make_spec("Mj", ...) remains
     available and estimate() will use such counts when supplied.
     """
-    specs = [make_spec("M0", n)]
-    for j in range(1, n + 1):
-        specs.append(make_spec("Mj0", n, j))
-        specs.append(make_spec("Mj0'", n, j))
-    for j in range(1, n + 1):
-        for k in range(j, n + 1):
-            specs.append(make_spec("Mjk0", n, j, k))
-            specs.append(make_spec("Mjk0'", n, j, k))
-    specs.append(make_spec("VN", n))
-    return specs
+    modes = range(1, n + 1)
+    return ([make_spec("M0", n)]
+            + [make_spec(kind, n, j) for j in modes for kind in ("Mj0", "Mj0'")]
+            + [make_spec(kind, n, j, k) for j in modes for k in range(j, n + 1)
+               for kind in ("Mjk0", "Mjk0'")]
+            + [make_spec("VN", n)])
 
 
-def _bracket(window: TruncatedOperator, zeta_l: dict, zeta_r: dict) -> complex:
-    out = 0.0 + 0.0j
-    for t, ct in zeta_l.items():
-        for s, cs in zeta_r.items():
-            out += np.conj(ct) * window.element(t, s) * cs
-    return out
+def _projectors(spec: MeasurementSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The spec's projectors a|u> + b|v>, one row each, as index pairs (u, v)
+    into the cutoff-2 basis and coefficients (a, b); v is the vacuum."""
+    n = spec.n
+    if spec.kind == "VN":  # in outcome_label order
+        j, k = np.triu_indices(n)
+        u = np.concatenate(([0], _chi_index(n, np.arange(1, n + 1)),
+                            _chi_index(n, j + 1, k + 1)))
+    else:
+        u = np.array([0 if spec.j is None else _chi_index(n, spec.j, spec.k)])
+    pairs = np.stack([u, np.zeros_like(u)], axis=1)
+    return pairs, np.tile(np.array(_KINDS[spec.kind][1], dtype=complex), (len(u), 1))
 
 
 def _window(state: GaussianState) -> TruncatedOperator:
-    """The cutoff-2 window.
-
-    Every projector vector lives in the <=2-particle subspace, where the
-    window is exact, so one window gives exact probabilities for every spec.
-    """
+    """The cutoff-2 window: exact on the <=2-particle subspace, where every
+    projector lives, so it gives exact probabilities for every spec."""
     return general_truncate(state.params.as_general(), 2)
 
 
-def _spec_probabilities(window: TruncatedOperator, spec: MeasurementSpec) -> np.ndarray:
-    probs = []
-    for zeta in spec.vectors:
-        p = _bracket(window, zeta, zeta).real
-        if p < -_PROB_TOL or p > 1.0 + _PROB_TOL:
-            raise EstimationError(f"projector expectation {p!r} outside [0, 1]")
-        probs.append(min(max(p, 0.0), 1.0))
-    rest = 1.0 - sum(probs)
+def _with_rest(yes: np.ndarray) -> np.ndarray:
+    """One spec's projector probabilities, clipped to [0, 1], and the remainder."""
+    bad = yes[(yes < -_PROB_TOL) | (yes > 1.0 + _PROB_TOL)]
+    if bad.size:
+        raise EstimationError(f"projector expectation {float(bad[0])!r} outside [0, 1]")
+    yes = np.clip(yes, 0.0, 1.0)
+    rest = 1.0 - np.cumsum(yes)[-1]  # summed in outcome order
     if rest < -_PROB_TOL:
         raise EstimationError("outcome probabilities exceed 1")
-    probs.append(max(rest, 0.0))
-    return np.array(probs)
+    return np.append(yes, max(rest, 0.0))
+
+
+def _probabilities(window: TruncatedOperator, specs: list) -> list[np.ndarray]:
+    """Outcome distributions of `specs` from one gather of the window: per
+    projector z = a|u> + b|v>, Re(conj(z)^T W z) over the 2x2 block W at
+    (u, v), summed in the order uu, uv, vu, vv.  Each coefficient is real or
+    imaginary, so each product rounds once however numpy vectorizes it."""
+    pairs, coefs = (np.concatenate(parts) for parts in zip(*map(_projectors, specs)))
+    block = window.entries[pairs[:, :, None], pairs[:, None, :]]
+    terms = (coefs.conj()[:, :, None] * block * coefs[:, None, :]).real
+    yes = terms[:, 0, 0] + terms[:, 0, 1] + terms[:, 1, 0] + terms[:, 1, 1]
+    ends = np.cumsum([spec.outcomes - 1 for spec in specs])[:-1]
+    return [_with_rest(part) for part in np.split(yes, ends)]
 
 
 def outcome_probabilities(state: GaussianState, spec: MeasurementSpec) -> np.ndarray:
     """Exact outcome distribution of `spec` in `state`."""
-    return _spec_probabilities(_window(state), spec)
+    return _probabilities(_window(state), [spec])[0]
 
 
 def sample(probabilities, k: int, seed) -> np.ndarray:
@@ -252,34 +232,23 @@ def simulate_battery(state: GaussianState, shots: int, seed: int) -> list[dict]:
     substream per spec."""
     if shots < 1:
         raise ValueError(f"shots must be at least 1, got {shots}")
-    window = _window(state)
-    out = []
-    for i, spec in enumerate(standard_battery(state.n)):
-        p = _spec_probabilities(window, spec)
-        counts = sample(p, shots, _stream_seed(seed, i))
-        out.append({"spec": spec, "counts": counts, "shots": int(shots)})
-    return out
+    specs = standard_battery(state.n)
+    probs = _probabilities(_window(state), specs)
+    return [{"spec": spec, "counts": sample(p, shots, _stream_seed(seed, i)), "shots": int(shots)}
+            for i, (spec, p) in enumerate(zip(specs, probs))]
 
 
 @dataclass(frozen=True)
 class EstimationReport:
-    """Recovered parameters with per-scalar standard errors and raw counts."""
+    """Recovered parameters with per-scalar standard errors and the shots per spec."""
 
     estimates: GeneralE2Params
     stderr: dict
-    counts: dict
     shots: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "estimates": self.estimates.to_json_dict(),
-            "stderr": self.stderr,
-            "shots": {name: int(s) for name, s in self.shots.items()},
-        }
-
-
-def _freq(counts, shots) -> np.ndarray:
-    return np.asarray(counts, dtype=float) / float(shots)
+        return {"estimates": self.estimates.to_json_dict(), "stderr": self.stderr,
+                "shots": {name: int(s) for name, s in self.shots.items()}}
 
 
 def _se(p: float, shots: float) -> float:
@@ -291,8 +260,9 @@ def _polarize(e_plus, e_imag, e_uu, e_vv) -> complex:
     return e_plus - 1j * e_imag - 0.5 * (1 - 1j) * (e_uu + e_vv)
 
 
-def _chi_entry(params: GeneralE2Params, t: tuple) -> float:
-    return general_truncate(params, 2).element(t, t).real
+def _chi_entry(params: GeneralE2Params, j: int, k: int) -> float:
+    i = _chi_index(params.n, j, k)  # a Python float: numpy's complex / real rounds otherwise
+    return float(general_truncate(params, 2).entries[i, i].real)
 
 
 def estimate(measurements: list[dict]) -> EstimationReport:
@@ -300,14 +270,16 @@ def estimate(measurements: list[dict]) -> EstimationReport:
 
     `measurements` holds dicts {"spec": MeasurementSpec, "counts": ...,
     "shots": ...}; counts may be floats (e.g. exact probabilities times
-    shots) for consistency checks.  Requires M0, all Mj0/Mj0', all
-    Mjk0/Mjk0' and the VN measurement; Mj counts are used when present.
+    shots) for consistency checks, but must sum to shots.  Requires every
+    spec of standard_battery, none twice; Mj counts are used when present.
     """
     by_name: dict[str, dict] = {}
     for m in measurements:
         spec = m["spec"]
         counts = np.asarray(m["counts"], dtype=float)
         shots = float(m["shots"])
+        if spec.name in by_name:
+            raise ValueError(f"measurement {spec.name}: given more than once")
         if not (math.isfinite(shots) and shots > 0):
             raise ValueError(f"measurement {spec.name}: shots must be finite and > 0")
         if counts.shape != (spec.outcomes,):
@@ -316,21 +288,19 @@ def estimate(measurements: list[dict]) -> EstimationReport:
         if not (np.isfinite(counts).all() and (counts >= 0).all()):
             raise ValueError(f"measurement {spec.name}: counts must be finite and >= 0")
         by_name[spec.name] = m
-    if "M0" not in by_name or "VN" not in by_name:
-        raise ValueError("measurement battery must include M0 and VN")
+    if "M0" not in by_name:
+        raise ValueError("missing measurement M0")
     n = by_name["M0"]["spec"].n
     for name, m in by_name.items():
         if m["spec"].n != n:
             raise ValueError(f"measurement {name}: n = {m['spec'].n}, but M0 has n = {n}")
-    for j in range(1, n + 1):
-        for name in (f"Mj0({j})", f"Mj0'({j})"):
-            if name not in by_name:
-                raise ValueError(f"missing measurement {name}")
-    for j in range(1, n + 1):
-        for k in range(j, n + 1):
-            for kind in ("Mjk0", "Mjk0'"):
-                if f"{kind}({j},{k})" not in by_name:
-                    raise ValueError(f"missing measurement {kind}({j},{k})")
+        total, shots = float(np.sum(m["counts"])), float(m["shots"])
+        if abs(total - shots) > _SHOTS_TOL * shots:
+            raise ValueError(f"measurement {name}: counts sum to {total!r}, not to "
+                             f"its {shots!r} shots")
+    for spec in standard_battery(n):
+        if spec.name not in by_name:
+            raise ValueError(f"missing measurement {spec.name}")
 
     def yes(name: str) -> tuple[float, float]:
         m = by_name[name]
@@ -340,7 +310,7 @@ def estimate(measurements: list[dict]) -> EstimationReport:
 
     vn = by_name["VN"]
     vn_shots = float(vn["shots"])
-    vn_freq = _freq(vn["counts"], vn_shots)
+    vn_freq = np.asarray(vn["counts"], dtype=float) / vn_shots
 
     def vn_prob(item) -> tuple[float, float]:
         p = float(vn_freq[outcome_label(item, n)])
@@ -432,7 +402,7 @@ def estimate(measurements: list[dict]) -> EstimationReport:
                 am = a_mat if a_v is None else a_v
                 params = GeneralE2Params(c_hat if c_v is None else c_v,
                                          al, al.conj(), am, trial, am.conj())
-                return _chi_entry(params, _chi(n, j, k))
+                return _chi_entry(params, j, k)
 
             p0 = predict(0.0)
             coef_re = predict(1.0) - p0 - c_hat
@@ -474,7 +444,6 @@ def estimate(measurements: list[dict]) -> EstimationReport:
             stderr[f"Lambda_im[{j},{k}]"] = se_w
 
     estimates = GeneralE2Params(c_hat, alpha, alpha.conj(), a_mat, lam, a_mat.conj())
-    counts = {name: np.asarray(m["counts"]) for name, m in by_name.items()}
     shots = {name: m["shots"] for name, m in by_name.items()}
-    return EstimationReport(estimates, stderr, counts, shots)
+    return EstimationReport(estimates, stderr, shots)
 

@@ -323,6 +323,7 @@ class TestBoundary:
         (0, "shots", None, "'shots'"),
         (-1, "counts", [1, 2], "VN"),
         (1, "counts", [-50, 150], "Mj0(1)"),
+        (0, "counts", [250, 50], "M0: counts sum to 300.0"),
         (0, "counts", "1e400", "M0")])
     def test_bad_counts_named(self, capsys, tmp_path, smsv_file, index, field, value, named):
         code, sim_text = run_cli(capsys, "tomo-simulate", "--state", smsv_file,
@@ -334,6 +335,18 @@ class TestBoundary:
         path.write_text(json.dumps(sim).replace('"1e400"', "[1e400, 2]"))
         err = assert_one_line_error(capsys, "tomo-estimate", "--counts", str(path))
         assert named in err
+
+    def test_estimate_refuses_repeated_spec(self, capsys, tmp_path, smsv_file):
+        code, sim_text = run_cli(capsys, "tomo-simulate", "--state", smsv_file,
+                                 "--shots", "10000")
+        assert code == 0
+        sim = json.loads(sim_text)
+        sim["measurements"].append({"spec": {"kind": "M0", "n": 1}, "counts": [4000, 6000],
+                                    "shots": 10000})
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(sim))
+        err = assert_one_line_error(capsys, "tomo-estimate", "--counts", str(path))
+        assert "M0: given more than once" in err
 
     def test_null_spec_n_named(self, capsys, tmp_path):
         path = tmp_path / "counts.json"
@@ -517,6 +530,45 @@ class TestGoldenOutput:
         assert code == 0
         assert hashlib.sha256(est.encode()).hexdigest() == \
             "14cf8c421509e5878f7aa6681f79421ef4b0616482030d2c2ffc32b70d6ba6d3"
+
+
+class TestPoolBytes:
+    """Replays requests recorded in the benchmark's reference pool and checks
+    their stdout sha256, as the benchmark does: the first item of each
+    cli-window category, and a tomo-simulate then tomo-estimate per n."""
+
+    POOL = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "data"
+                       / "pool.json").read_text(encoding="utf-8"))
+    WINDOW_ARGS = {"mz3": ["dmf", "--cutoff", "12"], "d3": ["dmf", "--cutoff", "12"],
+                   "csv3": ["dmf", "--cutoff", "12", "--format", "csv"],
+                   "c20": ["dmf", "--cutoff", "20"]}
+
+    @staticmethod
+    def replay(capsys, *argv) -> str:
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    @pytest.mark.parametrize("category", ["mz3", "d3", "csv3", "c20"])
+    def test_window_bytes(self, capsys, tmp_path, category):
+        item = self.POOL["cli-window"][category][0]
+        path = tmp_path / "state.json"
+        path.write_text(io.dumps(item["state"]))
+        assert self.replay(capsys, *self.WINDOW_ARGS[category], "--state", str(path)) \
+            == item["sha256"]
+
+    @pytest.mark.parametrize("n", ["2", "4", "6"])
+    def test_tomography_bytes(self, capsys, tmp_path, n):
+        item = self.POOL["tomo-battery"][n][0]
+        path, counts = tmp_path / "state.json", tmp_path / "counts.json"
+        path.write_text(io.dumps(item["state"]))
+        code, sim = run_cli(capsys, "tomo-simulate", "--state", str(path), "--shots", "100000",
+                            "--seed", str(item["seed"]))
+        assert code == 0
+        assert hashlib.sha256(sim.encode()).hexdigest() == item["simulate_sha256"]
+        counts.write_text(sim)
+        assert self.replay(capsys, "tomo-estimate", "--counts", str(counts)) \
+            == item["estimate_sha256"]
 
 
 def test_cli_import_stays_light():

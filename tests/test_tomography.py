@@ -28,6 +28,26 @@ def criterion_state() -> GaussianState:
     return GaussianState.from_a_lambda(a, 0.1 * np.eye(2), [0.1, -0.05j])
 
 
+def projector_terms(spec) -> list[list]:
+    """Each projector of `spec` as its (occupation tuple, coefficient) terms,
+    written out from the definitions of the kinds, chi before the vacuum."""
+    def occ(*modes):
+        t = [0] * spec.n
+        for m in modes:
+            t[m - 1] += 1
+        return tuple(t)
+
+    modes = range(1, spec.n + 1)
+    if spec.kind == "VN":
+        return [[(occ(), 1.0)]] + [[(occ(r), 1.0)] for r in modes] \
+            + [[(occ(j, k), 1.0)] for j in modes for k in range(j, spec.n + 1)]
+    chi, vac = occ(*(m for m in (spec.j, spec.k) if m is not None)), occ()
+    h = 1 / math.sqrt(2.0)
+    return [{"M0": [(vac, 1.0)], "Mj": [(chi, 1.0)],
+             "Mj0": [(chi, h), (vac, h)], "Mj0'": [(chi, h), (vac, 1j * h)],
+             "Mjk0": [(chi, h), (vac, h)], "Mjk0'": [(chi, h), (vac, 1j * h)]}[spec.kind]]
+
+
 class TestSpecs:
     def test_battery_size(self):
         for n in (1, 2, 3, 4):
@@ -53,18 +73,20 @@ class TestSpecs:
         assert outcome_label("rest", 2) == 6
 
     def test_vn_projectors_orthonormal(self):
-        spec = make_spec("VN", 3)
-        vecs = spec.vectors
-        for i, v in enumerate(vecs):
-            for j, w in enumerate(vecs):
-                gram = sum(np.conj(cv) * w.get(t, 0.0) for t, cv in v.items())
-                assert gram == (1.0 if i == j else 0.0)
+        import gausskit.tomography as tomo
+        for n in (1, 2, 3, 4):
+            pairs, coefs = tomo._projectors(make_spec("VN", n))
+            vecs = np.zeros((len(pairs), math.comb(n + 2, 2)), dtype=complex)
+            for row, (u, v), (a, b) in zip(vecs, pairs, coefs):
+                row[u] += a
+                row[v] += b
+            assert len(vecs) == vn_outcome_count(n) - 1
+            assert np.array_equal(vecs.conj() @ vecs.T, np.eye(len(vecs)))
 
     def test_spec_json_round_trip(self):
-        for spec in standard_battery(2) + [make_spec("Mj", 2, 1)]:
+        for spec in standard_battery(2) + standard_battery(3) + [make_spec("Mj", 2, 1)]:
             back = MeasurementSpec.from_json_dict(json.loads(io.dumps(spec.to_json_dict())))
-            assert back.name == spec.name
-            assert back.vectors == spec.vectors
+            assert back == spec
 
     @pytest.mark.parametrize("key, value", [("n", None), ("n", "2"), ("n", 1.5), ("n", True),
                                             ("j", None), ("j", "1"), ("k", [2])])
@@ -124,6 +146,39 @@ class TestProbabilities:
             chi = tuple(1 if m == j - 1 else 0 for m in range(2))
             want = window.entries[imap[chi], imap[(0, 0)]]
             assert abs(got - want) < 1e-12
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_spec_matches_dense_projectors(self, n):
+        # Re(z^H W z) per projector z, then the remainder, for every kind
+        st = GaussianState(random_state(np.random.default_rng(40 + n), n))
+        window = general_truncate(st.params.as_general(), 2)
+        specs = standard_battery(n) + [make_spec("Mj", n, j) for j in range(1, n + 1)]
+        for spec in specs:
+            terms = projector_terms(spec)
+            z = np.zeros((len(terms), window.dim), dtype=complex)
+            for row, zeta in zip(z, terms):
+                for t, coef in zeta:
+                    row[window.index(t)] = coef
+            want = np.einsum("ij,jk,ik->i", z.conj(), window.entries, z).real
+            got = outcome_probabilities(st, spec)
+            assert got.shape == (spec.outcomes,)
+            assert np.abs(got[:-1] - want).max() <= 1e-15
+            assert abs(got[-1] - (1.0 - want.sum())) <= 1e-15
+            # bit for bit the entry-by-entry bracket over the terms, in their order
+            loop = [sum(np.conj(ct) * window.element(t, s) * cs
+                        for t, ct in zeta for s, cs in zeta).real for zeta in terms]
+            loop = [min(max(p, 0.0), 1.0) for p in loop]
+            assert got.tolist() == loop + [max(1.0 - sum(loop), 0.0)]
+
+    def test_battery_reads_no_single_entries(self, monkeypatch):
+        from gausskit.fock import TruncatedOperator
+        calls = []
+        element = TruncatedOperator.element
+        monkeypatch.setattr(TruncatedOperator, "element",
+                            lambda self, *t: calls.append(t) or element(self, *t))
+        simulate_battery(GaussianState(random_state(np.random.default_rng(9), 3)), 100, seed=1)
+        assert calls == []
 
 
 class TestSampling:
@@ -218,12 +273,20 @@ class TestEstimation:
         (1, "counts", [math.inf, 2.0], "Mj0\\(1\\): counts"),
         (0, "counts", [math.nan, 2.0], "M0: counts"),
         (-1, "counts", [1.0, 2.0], "VN: 2 counts for 7 outcomes"),
+        (0, "counts", [2500.0, 500.0], "M0: counts sum to 3000.0, not to its 1000.0 shots"),
         (2, "shots", math.inf, "Mj0'\\(1\\): shots"),
         (2, "shots", math.nan, "Mj0'\\(1\\): shots")])
     def test_bad_numbers_named(self, index, field, value, match):
         runs = simulate_battery(criterion_state(), 1000, seed=0)
         runs[index] = dict(runs[index], **{field: value})
         with pytest.raises(ValueError, match=match):
+            estimate(runs)
+
+    def test_repeated_spec_rejected(self):
+        runs = simulate_battery(criterion_state(), 10**4, seed=1)
+        runs.append({"spec": make_spec("M0", 2), "counts": np.array([4000, 6000]),
+                     "shots": 10**4})
+        with pytest.raises(ValueError, match=r"M0: given more than once"):
             estimate(runs)
 
     def test_mixed_mode_counts_rejected(self):
