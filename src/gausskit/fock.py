@@ -92,11 +92,16 @@ def _degree_indices(n: int, deg: int) -> list[tuple]:
 #    numpy (scalar or array) multiplies by the reciprocal.  In the displaced
 #    coefficient sum the k = 0 term is the former and every other term the
 #    latter.
-# 3. In gamma_matrix both operands of each complex product are contiguous
-#    arrays of one shape, each held by a name.  numpy runs a product with a
-#    broadcast operand, or one computed in place into a temporary operand
-#    (it does so for temporaries above 256 KiB), through another loop,
-#    which rounds the last bit differently.
+# 3. gamma_matrix makes one complex product per sector and mode i, and
+#    materializes both operands as contiguous arrays of one shape, each held
+#    by a name: the coefficients Lambda_ji sqrt(l_i) (complex by real, so
+#    one rounding per part in any loop) and the gathered lowered entries.
+#    numpy runs a product with a broadcast operand, or one computed in place
+#    into a temporary operand (it does so for temporaries above 256 KiB),
+#    through another loop, which rounds the last bit differently.  Each
+#    entry adds its terms from +0 in ascending i; such a sum is never -0,
+#    so the zero terms skipped (rows with Lambda_ji = 0, columns with
+#    l_i = 0) or added would leave it bit for bit unchanged.
 # 4. phi_B(t) takes B_ij^r as numpy scalar powers and multiplies them over
 #    R's nonzero cells in cell order from 1 (rule 1), scales each product by
 #    2^(|R| - tr R) times the rounded 1/R! (exact: a power of two), sums the
@@ -205,31 +210,26 @@ class _Shape:
         return per_mode, np.array([1.0 / float(multi_factorial(k)) for k in self.basis])
 
     @cached_property
-    def gamma_degrees(self) -> list:
-        """Per degree m = 1..cutoff: the sector's basis slice [lo, hi); its
-        rows k grouped by first occupied mode j as (j, rows, row of k - e_j
-        in the sector below, sqrt(k_j)); and per mode i the columns l with
-        l_i > 0 as (columns, column of l - e_i in the sector below, sqrt(l_i))."""
-        n = self.n
+    def gamma_sectors(self) -> list:
+        """Per degree m = 1..cutoff: the sector's basis slice [lo, hi); per
+        row k its first occupied mode j, the row of k - e_j in the sector
+        below and sqrt(k_j); and per mode i the columns l with l_i > 0 as
+        (columns, column of l - e_i in the sector below, sqrt(l_i))."""
         out = []
         below, lo = 0, 1
         for deg in range(1, self.cutoff + 1):
-            hi = lo + math.comb(n + deg - 1, n - 1)
+            hi = lo + math.comb(self.n + deg - 1, self.n - 1)
             sector = self.occupations[lo:hi]
 
-            def lowered(sel, i):
+            def lowered(sel, i):  # i: one mode, or one per row of sel
                 occ = sector[sel].copy()
-                occ[:, i] -= 1
-                return sel, self.index_of(occ) - below, np.sqrt(sector[sel, i])
+                occ[np.arange(len(sel)), i] -= 1
+                return self.index_of(occ) - below, np.sqrt(sector[sel, i])
 
             first = np.argmax(sector > 0, axis=1)
-            rows = []
-            for j in range(n):
-                sel = np.flatnonzero(first == j)
-                if len(sel):
-                    rows.append((j, *lowered(sel, j)))
-            cols = [lowered(np.flatnonzero(sector[:, i]), i) for i in range(n)]
-            out.append((lo, hi, rows, cols))
+            cols = [(sel, *lowered(sel, i))
+                    for i, sel in enumerate(map(np.flatnonzero, sector.T))]
+            out.append((lo, hi, first, *lowered(np.arange(hi - lo), first), cols))
             below, lo = lo, hi
         return out
 
@@ -415,28 +415,26 @@ def gamma_matrix(lam, cutoff: int) -> np.ndarray:
 
     Degree by degree, by one-particle removal: with j the first occupied
     mode of row k, <k|Gamma|l> = sum_i Lambda_ji sqrt(l_i)
-    <k - e_j|Gamma|l - e_i> / sqrt(k_j), one product per (j, i) over every
-    such row at once.
+    <k - e_j|Gamma|l - e_i> / sqrt(k_j), one product per mode i over every
+    row with Lambda_ji != 0 and every column with l_i > 0 at once (rule 3).
     """
     lam = np.atleast_2d(np.asarray(lam, dtype=complex))
     shape = _window_shape(lam.shape[0], cutoff)
     out = np.zeros((shape.dim, shape.dim), dtype=complex)
     out[0, 0] = 1.0
-    prev = np.ones((1, 1), dtype=complex)
-    for lo, hi, rows, cols in shape.gamma_degrees:
-        block = np.zeros((hi - lo, hi - lo), dtype=complex)
-        for j, sel, parent, root in rows:
-            acc = np.zeros((len(sel), hi - lo), dtype=complex)
-            for i, (valid, back, sqrt_l) in enumerate(cols):
-                if lam[j, i] == 0:
-                    continue
-                # rule 3: both factors materialized and named
-                coef = lam[j, i] * np.broadcast_to(sqrt_l, (len(sel), len(valid)))
-                lowered = prev[np.ix_(parent, back)]
-                acc[:, valid] += coef * lowered
-            block[sel] = acc / root[:, None]
-        out[lo:hi, lo:hi] = block
-        prev = block
+    prev = out[:1, :1]
+    for lo, hi, first, parent, root, cols in shape.gamma_sectors:
+        acc = out[lo:hi, lo:hi]  # sums from +0
+        lam_rows = lam[first]  # Lambda_ji per row k and mode i
+        for i, (valid, back, sqrt_l) in enumerate(cols):
+            rows = lam_rows[:, i].nonzero()[0]
+            if not len(rows):
+                continue
+            coef = lam_rows[rows, i][:, None] * sqrt_l
+            lowered = prev[parent[rows][:, None], back]
+            acc[rows[:, None], valid] += coef * lowered
+        acc /= root[:, None]
+        prev = acc
     return out
 
 

@@ -45,7 +45,7 @@ __all__ = [
 _SQ2 = math.sqrt(2.0)
 _PROB_TOL = 1e-9  # rounding allowed outside [0, 1] in an exact outcome probability
 _SHOTS_TOL = 1e-9  # relative mismatch allowed between a measurement's counts and shots
-_SHOT_BYTES = 24  # per-shot sampling arrays: the uniforms, their bins, the clipped bins
+_SHOT_BYTES = 9  # per shot, the most sample holds at once: its uniform and one mask byte
 
 _H = 1 / _SQ2
 # kind -> (mode indices it takes, (a, b)): its projector is a|chi> + b|vac>,
@@ -208,19 +208,19 @@ def outcome_probabilities(state: GaussianState, spec: MeasurementSpec) -> np.nda
 def sample(probabilities, k: int, seed) -> np.ndarray:
     """k i.i.d. draws by inverse CDF on a seeded PCG64 stream; returns counts.
 
-    `seed` is a 64-bit integer or a numpy SeedSequence (for substreams).
-    Shots whose sampling arrays exceed physical memory are refused first.
+    A draw u lands in the first outcome whose CDF exceeds it, and in the
+    last outcome when none does.  `seed` is a 64-bit integer or a numpy
+    SeedSequence (for substreams).  Shots whose sampling arrays exceed
+    physical memory are refused first.
     """
     p = np.asarray(probabilities, dtype=float)
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+    if p.ndim != 1 or not np.isfinite(p).all() or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("probabilities must be nonnegative and sum to 1")
     k = int(k)
     check_memory(_SHOT_BYTES * k, f"{k} shots: the sampling arrays")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    cdf = np.cumsum(p)
-    idx = np.searchsorted(cdf, rng.random(k), side="right")
-    idx = np.minimum(idx, len(p) - 1)
-    return np.bincount(idx, minlength=len(p))
+    u = np.random.Generator(np.random.PCG64(seed)).random(k)
+    below = [np.count_nonzero(u < edge) for edge in np.cumsum(p)[:-1]]  # per edge: draws below it
+    return np.diff([0, *below, k])
 
 
 def _stream_seed(seed: int, stream: int) -> np.random.SeedSequence:

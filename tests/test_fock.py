@@ -719,6 +719,14 @@ def _window_case(name: str, rng) -> np.ndarray:
         return gamma_matrix(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), cutoff)
     if kind == "gamma-diag-zeros":
         return gamma_matrix(np.diag(np.r_[rng.uniform(0.2, 0.9, size=n - 1), 0.0]), cutoff)
+    if kind == "gamma-decoupled":  # mode n // 2 couples to no mode: a zero row and column
+        lam = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        lam[n // 2, :] = lam[:, n // 2] = 0.0
+        return gamma_matrix(lam, cutoff)
+    if kind == "gamma-block":  # modes [0, n // 2) and [n // 2, n) do not couple
+        lam = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        lam[:n // 2, n // 2:] = lam[n // 2:, :n // 2] = 0.0
+        return gamma_matrix(lam, cutoff)
     if kind == "z1":
         return z1_matrix(random_state(rng, n), cutoff).entries
     if kind == "statevec":
@@ -782,6 +790,15 @@ class TestWindowBytes:
         "gamma-4-9": "5d24fc4eeb1adeeffe91af1a544f2d53b98938e6b5c747b25c9b850615b5de37",
         "dmf-5-7": "b71fbba7b209ca6940028b94e7e71552b7a4242509e5b521f18eb31acb9893cb",
         "six-tuple-4-9": "49bfef6c619aac0cbf1ae7e5a294307156aabe741635f12f85020f12f764e340",
+        # Gamma's zero-skip paths (Lambda_ji = 0 rows and l_i = 0 columns)
+        # and its wide cutoff-2 sectors
+        "gamma-decoupled-3-5": "fe1aaa68aa12ff5338f33d32fc4796c54d69a5056c8246f013324bf878f4dd28",
+        "gamma-decoupled-4-4": "c1d042a5d4c53411eac8f7d92a58f2893d29f81f7bfaa7ad8c83ae4d0b3df165",
+        "gamma-decoupled-6-2": "142cf3b166697c6b1fe35222dfcfd188dfcd0b38075c0acd9ccce13486e48f75",
+        "gamma-block-4-4": "a37df2db0ec85acaff715fa394417d4a4d98a40aec4190e1317286ebebf0180e",
+        "gamma-block-5-3": "44d32a22ff6779fa2024e094df9fa796594dc5e6068cd785837a84abe0c18065",
+        "gamma-8-2": "89e1bd2377506bef074167c9b74973e218461b78332873757d4e8e55a314d841",
+        "gamma-10-2": "29fe03071f36ae8d12d997c52b79acf638d166ea15b6dbfea08b21fb3ec27566",
     }
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))

@@ -201,6 +201,55 @@ class TestSampling:
             sample([0.5, 0.4], 10, seed=0)
         with pytest.raises(ValueError):
             sample([1.5, -0.5], 10, seed=0)
+        # NaN passes both a sign test and a sum test; so does a 2-D array
+        for bad in ([math.nan, 1.0], [1.0, math.nan], [math.inf, 0.0], [[0.5, 0.5]], 1.0):
+            with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+                sample(bad, 10, seed=0)
+
+    @staticmethod
+    def reference_counts(p, k, seed) -> np.ndarray:
+        """Inverse CDF by one binary search per draw: a draw at or above
+        cdf[-1] (possible when it rounds below 1) goes to the last outcome."""
+        u = np.random.Generator(np.random.PCG64(seed)).random(k)
+        idx = np.minimum(np.searchsorted(np.cumsum(p), u, side="right"), len(p) - 1)
+        return np.bincount(idx, minlength=len(p))
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_matches_binary_search_reference(self, case):
+        rng = np.random.default_rng([31, case])
+        size = [1, 2, 3, 7, 29][case % 5]
+        p = rng.random(size) * (rng.random(size) < 0.6)  # zero-probability outcomes
+        if not p.any():
+            p[-1] = 1.0
+        p /= p.sum()
+        if case % 4 == 1:
+            p *= 1.0 - 4e-10  # cdf[-1] < 1: the draws above it land in the last outcome
+        k = [1, 2, 50, 10**4][case % 4 if case % 3 else 0]
+        seed = (np.random.SeedSequence(entropy=case, spawn_key=(case % 7,)) if case % 2
+                else int(rng.integers(2**63)))
+        got, want = sample(p, k, seed), self.reference_counts(p, k, seed)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
+    def test_draws_on_an_edge_or_above_the_last(self, monkeypatch):
+        # a draw equal to a CDF edge belongs to the next outcome with nonzero
+        # probability; one at or above cdf[-1] < 1 to the last outcome
+        p = np.array([0.25, 0.0, 0.5, 0.25 - 6e-10])
+        cdf = np.cumsum(p)
+        draws = np.array([0.0, cdf[0], np.nextafter(cdf[0], 0), cdf[2], cdf[-1],
+                          np.nextafter(1.0, 0), 0.6])
+
+        class Draws:
+            def __init__(self, bit_generator):
+                pass
+
+            def random(self, k):
+                return draws[:k].copy()
+
+        monkeypatch.setattr(np.random, "Generator", Draws)
+        want = self.reference_counts(p, len(draws), 0)
+        assert want.tolist() == [2, 0, 2, 3]
+        assert sample(p, len(draws), 0).tolist() == want.tolist()
 
 
 class TestEstimation:
